@@ -129,8 +129,11 @@ func main() {
 	}
 	ck := <-captured
 	captured <- ck // restore for the pacing select above
-	gImg, gTag := home.Checkpoint()
-	ck.Globals, ck.GlobalsTag = gImg, gTag
+	img, err := home.Image()
+	if err != nil {
+		log.Fatal(err)
+	}
+	ck.Globals, ck.GlobalsTag = img.Image, img.Tag
 	var blob bytes.Buffer
 	if err := ck.Save(&blob); err != nil {
 		log.Fatal(err)
@@ -152,7 +155,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := home2.Restore(loaded.Globals, loaded.GlobalsTag, loaded.Platform, hetdsm.DefaultOptions().Base); err != nil {
+	// The blob carries the globals half of the home's image; Restore adopts
+	// only the master copy, so the rest of the image stays empty.
+	if err := home2.Restore(&hetdsm.HomeImage{
+		Platform: loaded.Platform, Base: hetdsm.DefaultOptions().Base,
+		Image: loaded.Globals, Tag: loaded.GlobalsTag, Nthreads: 1,
+	}); err != nil {
 		log.Fatal(err)
 	}
 	l2, err := nw2.Listen("home")

@@ -59,6 +59,7 @@ import (
 	"hetdsm/internal/tag"
 	"hetdsm/internal/trace"
 	"hetdsm/internal/transport"
+	"hetdsm/internal/wire"
 )
 
 // --- Virtual platforms ---
@@ -150,6 +151,10 @@ const (
 
 // Home is the base node: master copy, distributed mutexes, barriers.
 type Home = dsd.Home
+
+// HomeImage is a home's state at a cut — what Home.Image captures and
+// Home.Restore loads, on any platform.
+type HomeImage = wire.HomeImage
 
 // NewHome creates the home node for a GThV type; nthreads is the number of
 // worker threads participating in barriers and joins.

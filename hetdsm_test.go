@@ -184,8 +184,11 @@ func TestFacadeCheckpointAndTrace(t *testing.T) {
 	if log.Total() == 0 {
 		t.Error("trace recorded nothing")
 	}
-	img, tagStr := home.Checkpoint()
-	ck := &Checkpoint{Platform: SolarisSPARC.Name, Globals: img, GlobalsTag: tagStr}
+	img, err := home.Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck := &Checkpoint{Platform: img.Platform, Globals: img.Image, GlobalsTag: img.Tag}
 	loaded, err := DecodeCheckpoint(ck.Encode())
 	if err != nil {
 		t.Fatal(err)

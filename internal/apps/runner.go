@@ -255,7 +255,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 		dir := cfg.CheckpointDir
 		cfg.Opts.CheckpointEvery = cfg.CheckpointEvery
-		cfg.Opts.CheckpointSink = func(snap *wire.Replication, gen uint64) {
+		cfg.Opts.CheckpointSink = func(snap *wire.HomeImage, gen uint64) {
 			// A failed or torn cut is never loadable (the manifest rename
 			// commits it), so an error here only loses one checkpoint.
 			_ = wal.WriteCut(dir, snap, gen+base, rankPlats)
@@ -267,7 +267,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	if cut != nil {
-		if err := home.Restore(cut.Snap.Image, cut.Snap.Tag, cut.Snap.Platform, cut.Snap.Base); err != nil {
+		if err := home.Restore(cut.Snap); err != nil {
 			return nil, fmt.Errorf("apps: restoring checkpoint: %w", err)
 		}
 	}

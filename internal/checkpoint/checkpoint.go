@@ -79,17 +79,6 @@ func (c *Checkpoint) Validate() error {
 	return check("extra", c.ExtraTag, c.Extra)
 }
 
-// OpaqueTag returns the CGT-RMR tag covering n opaque bytes: "(1,n)", n
-// one-byte scalars. Producers use it for Extra payloads that are already
-// platform independent (the WAL's snapshot metadata), so Validate's
-// tag-covers-payload check still holds without inventing a real layout.
-func OpaqueTag(n int) string {
-	if n <= 0 {
-		return ""
-	}
-	return fmt.Sprintf("(1,%d)", n)
-}
-
 // Encode serializes the checkpoint with magic, version and CRC framing.
 func (c *Checkpoint) Encode() []byte {
 	var body []byte

@@ -9,12 +9,12 @@ import (
 
 	"hetdsm/internal/dsd"
 	"hetdsm/internal/flight"
-	"hetdsm/internal/indextable"
 	"hetdsm/internal/platform"
 	"hetdsm/internal/tag"
 	"hetdsm/internal/telemetry"
 	"hetdsm/internal/transport"
 	"hetdsm/internal/wal"
+	"hetdsm/internal/wire"
 )
 
 // Config configures a sharded home cluster.
@@ -433,30 +433,32 @@ func (cl *Cluster) RestartShard(i int) error {
 }
 
 // MergedImage stitches the authoritative master image together: shard 0's
-// checkpoint as the canvas, every entry owned elsewhere overwritten from
-// its owner's checkpoint. All shards share a platform and base, so the
-// bytes are directly compatible. Meaningful as a consistent whole once the
-// cluster is quiescent (after Wait, or between releases).
+// image as the canvas, every entry owned elsewhere overwritten from its
+// owner's image. All shards share a platform and base, so the bytes are
+// directly compatible. Meaningful as a consistent whole once the cluster is
+// quiescent (after Wait, or between releases).
 func (cl *Cluster) MergedImage() ([]byte, string, error) {
-	n := cl.Shards()
-	imgs := make([][]byte, n)
-	var tagStr string
-	imgs[0], tagStr = cl.Home(0).Checkpoint()
+	imgs := make([]*wire.HomeImage, cl.Shards())
+	var err error
+	if imgs[0], err = cl.Home(0).Image(); err != nil {
+		return nil, "", err
+	}
 	table := cl.Home(0).Table()
-	out := imgs[0]
+	out := imgs[0].Image
 	for e := 0; e < table.Len(); e++ {
 		owner, _ := cl.dir.EntryOwner(e)
 		if owner == 0 {
 			continue
 		}
 		if imgs[owner] == nil {
-			imgs[owner], _ = cl.Home(int(owner)).Checkpoint()
+			if imgs[owner], err = cl.Home(int(owner)).Image(); err != nil {
+				return nil, "", err
+			}
 		}
 		ent := table.Entry(e)
-		nb := table.SpanBytes(indextable.Span{Entry: e, First: 0, Count: ent.Count})
-		copy(out[ent.Offset:ent.Offset+nb], imgs[owner][ent.Offset:ent.Offset+nb])
+		copy(out[ent.Offset:ent.Offset+ent.Bytes()], imgs[owner].Image[ent.Offset:])
 	}
-	return out, tagStr, nil
+	return out, imgs[0].Tag, nil
 }
 
 // MergedGlobals returns a typed view over the stitched master image — the

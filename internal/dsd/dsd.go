@@ -112,11 +112,11 @@ type Options struct {
 	// checkpoint every CheckpointEvery-th barrier generation (home-side).
 	// Zero disables checkpointing.
 	CheckpointEvery int
-	// CheckpointSink receives the consistent cut: the home's full state
-	// as a RepInit-shaped snapshot plus the opened barrier generation
-	// number. It is called synchronously with the home mutex held, so it
-	// must not call back into the home; write the blob and return.
-	CheckpointSink func(snap *wire.Replication, gen uint64)
+	// CheckpointSink receives the consistent cut: the home's state image
+	// plus the opened barrier generation number. It is called synchronously
+	// with the home mutex held, so it must not call back into the home;
+	// write the blob and return.
+	CheckpointSink func(img *wire.HomeImage, gen uint64)
 	// Directory, when non-nil, makes this home one shard of a multi-home
 	// directory (internal/dir): it is authoritative only for the entries
 	// and locks the directory currently maps to Shard, and answers

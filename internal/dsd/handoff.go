@@ -2,6 +2,7 @@ package dsd
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"hetdsm/internal/indextable"
@@ -22,54 +23,26 @@ import (
 //  1. Detach: the old home freezes — new acquisitions, flushes, barriers
 //     and joins are answered with redirects once the redirect address is
 //     known — waits until no lock is held and no barrier generation is in
-//     flight (a release-consistent quiescent cut), and snapshots its state.
-//  2. NewHomeFromHandoff builds the successor anywhere, on any platform:
+//     flight (a release-consistent quiescent cut), and captures its state.
+//  2. NewHomeFromImage builds the successor anywhere, on any platform:
 //     the master image converts receiver-makes-right; pending-update
 //     queues and the joined set carry over unchanged because spans and
 //     ranks are architecture independent.
 //  3. RedirectTo publishes the successor's address; every thread's next
 //     request bounces with KindRedirect and the thread re-registers with
 //     the new home transparently (see Thread.call).
+//
+// The state that moves is a wire.HomeImage (DESIGN.md, "Home state image"):
+// the same struct, captured and rebuilt by the same two functions, whether
+// the home leaves through a handoff, a replication stream, a WAL snapshot
+// or a cluster checkpoint.
 
-// Handoff is the portable state of a home node at a quiescent point.
-type Handoff struct {
-	// Platform is the old home's platform name.
-	Platform string
-	// Base is the old home's GThV base address.
-	Base uint64
-	// Image is the master GThV image in the old home's layout.
-	Image []byte
-	// Tag is the image's CGT-RMR tag.
-	Tag string
-	// Pending carries each registered rank's outstanding update spans.
-	Pending map[int32][]indextable.Span
-	// Known lists the ranks registered at detach time; their replicas
-	// stay valid across the handoff (Pending is their exact catch-up).
-	Known []int32
-	// Joined lists the ranks that had already joined.
-	Joined []int32
-	// Dirty records whether any update was ever applied.
-	Dirty bool
-	// Held maps mutex index to holder rank for locks held at the cut.
-	// Empty after a quiescent Detach; a crash promotion carries the locks
-	// the standby saw held.
-	Held map[int32]int32
-	// Applied carries each rank's idempotency watermark: the highest
-	// update-bearing request id already applied. A replayed request at or
-	// below it must not re-apply its updates.
-	Applied map[int32]uint64
-	// Released carries each rank's barrier-release watermark: the request
-	// id of its last barrier arrival whose release was issued. A replayed
-	// arrival at or below it gets an immediate release instead of waiting
-	// for a generation that already opened.
-	Released map[int32]uint64
-}
-
-// Detach freezes the home, waits for quiescence, and returns the handoff
-// state. After Detach, call RedirectTo to release waiting threads toward
-// the successor. Detach fails after timeout if the system never quiesces
-// (e.g. a thread holds a lock indefinitely).
-func (h *Home) Detach(timeout time.Duration) (*Handoff, error) {
+// Detach freezes the home, waits for quiescence, and returns its state.
+// After Detach, call RedirectTo to release waiting threads toward the
+// successor. Detach fails after timeout if the system never quiesces (e.g.
+// a thread holds a lock indefinitely); the home then thaws and serves on,
+// lock requesters parked by the freeze included.
+func (h *Home) Detach(timeout time.Duration) (*wire.HomeImage, error) {
 	if h.opts.Directory != nil {
 		// Whole-home handoff assumes this node owns every entry and lock —
 		// a shard does not. Re-homing within a sharded directory goes
@@ -83,6 +56,7 @@ func (h *Home) Detach(timeout time.Duration) (*Handoff, error) {
 		return nil, fmt.Errorf("dsd: home already detached")
 	}
 	h.frozen = true
+	h.thawed = make(chan struct{})
 	h.mu.Unlock()
 	h.opts.Trace.Record(h.node, trace.KindDetach, -1, -1, 0, "")
 
@@ -90,60 +64,75 @@ func (h *Home) Detach(timeout time.Duration) (*Handoff, error) {
 	for {
 		h.mu.Lock()
 		if h.quiescentLocked() {
-			break // keep h.mu held for the snapshot
+			break // keep h.mu held for the capture
 		}
-		h.mu.Unlock()
 		if time.Now().After(deadline) {
-			h.mu.Lock()
 			h.frozen = false
+			close(h.thawed)
 			h.mu.Unlock()
-			// Re-admit any lock requester that bounced during the
-			// failed freeze: they are blocked in redirect() waiting
-			// for an address that will never come... they are not —
-			// redirect() blocks on redirectReady; an aborted detach
-			// must release them to retry. Publishing an empty address
-			// is not possible, so a failed Detach leaves the home
-			// usable for non-redirected operations only. Callers
-			// should treat a Detach timeout as fatal for this home.
 			return nil, fmt.Errorf("dsd: home did not quiesce within %v", timeout)
 		}
+		h.mu.Unlock()
 		time.Sleep(100 * time.Microsecond)
 	}
 	defer h.mu.Unlock()
-	h.snapshotted = true
-
-	img := make([]byte, h.layout.Size)
-	if _, err := h.master.Read(0, h.layout.Size, img); err != nil {
+	img, err := h.imageLocked()
+	if err != nil {
 		return nil, err
 	}
-	state := &Handoff{
+	h.snapshotted = true
+	return img, nil
+}
+
+// imageLocked is the one capture of home state. Caller holds h.mu, so the
+// image is a release-consistent cut (taken between update applications).
+func (h *Home) imageLocked() (*wire.HomeImage, error) {
+	buf := make([]byte, h.layout.Size)
+	if _, err := h.master.Read(0, h.layout.Size, buf); err != nil {
+		return nil, err
+	}
+	img := &wire.HomeImage{
 		Platform: h.plat.Name,
 		Base:     h.table.Base(),
-		Image:    img,
+		Image:    buf,
 		Tag:      tag.FromLayout(h.layout).String(),
-		Pending:  make(map[int32][]indextable.Span, len(h.pending)),
 		Dirty:    h.dirty,
+		Proto:    uint8(h.opts.Protocol),
+		Nthreads: int32(h.nthreads),
+		Epoch:    h.epoch,
+		Held:     make(map[int32]int32),
+		Joined:   maps.Clone(h.joined),
+		Applied:  maps.Clone(h.applied),
+		Released: maps.Clone(h.released),
+		Pending:  make(map[int32][]indextable.Span, len(h.pending)),
+		Known:    make(map[int32]bool, len(h.peers)),
+	}
+	for idx, ls := range h.locks {
+		if ls.held {
+			img.Held[idx] = ls.holder
+		}
 	}
 	for rank, spans := range h.pending {
-		state.Pending[rank] = indextable.MergeSpans(spans)
+		if merged := indextable.MergeSpans(spans); len(merged) > 0 {
+			img.Pending[rank] = merged
+		}
 	}
+	// Known is every rank whose replica Pending exactly catches up: the
+	// registered ones, and those carried in from a previous image that have
+	// not re-registered yet.
+	maps.Copy(img.Known, h.carried)
 	for rank := range h.peers {
-		state.Known = append(state.Known, rank)
+		img.Known[rank] = true
 	}
-	for rank := range h.joined {
-		state.Joined = append(state.Joined, rank)
-	}
-	state.Applied = make(map[int32]uint64, len(h.applied))
-	for rank, seq := range h.applied {
-		state.Applied[rank] = seq
-	}
-	state.Released = make(map[int32]uint64, len(h.released))
-	for rank, seq := range h.released {
-		state.Released[rank] = seq
-	}
-	// Quiescence guarantees no lock is held, so Held stays empty here;
-	// only crash promotions populate it.
-	return state, nil
+	return img, nil
+}
+
+// Image captures the home's state. Safe to call while threads run: the
+// capture happens under the home mutex, i.e. between update applications.
+func (h *Home) Image() (*wire.HomeImage, error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.imageLocked()
 }
 
 // quiescentLocked reports whether no lock is held and no barrier
@@ -184,58 +173,43 @@ func (h *Home) redirect(c transport.Conn, rank int32) error {
 	return h.send(c, &wire.Message{Kind: wire.KindRedirect, Rank: rank, Addr: addr})
 }
 
-// frozenNow reports the freeze flag.
-func (h *Home) frozenNow() bool {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.frozen
-}
-
-// NewHomeFromHandoff builds a successor home from a detached predecessor's
-// state, converting the master image receiver-makes-right. nthreads and
-// the GThV type must match the original application.
-func NewHomeFromHandoff(gthv tag.Struct, p *platform.Platform, nthreads int, opts Options, state *Handoff) (*Home, error) {
-	h, err := NewHome(gthv, p, nthreads, opts)
+// NewHomeFromImage is the one constructor of a home from captured state: it
+// builds a successor on platform p — any platform, the master converts
+// receiver-makes-right — serving the image's thread count under the image's
+// protocol. Handoff, standby promotion and WAL recovery all end here. An
+// image without Pending and Known (every crash cut) makes each rank's first
+// handshake reseed its replica in full.
+func NewHomeFromImage(gthv tag.Struct, p *platform.Platform, opts Options, img *wire.HomeImage) (*Home, error) {
+	srcTable, err := img.Validate(gthv)
 	if err != nil {
 		return nil, err
 	}
-	if err := h.Restore(state.Image, state.Tag, state.Platform, state.Base); err != nil {
+	opts.Protocol = Protocol(img.Proto)
+	h, err := NewHome(gthv, p, int(img.Nthreads), opts)
+	if err != nil {
 		return nil, err
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.dirty = state.Dirty || h.dirty
-	// Restore's own full-seed applies only to already-registered peers
-	// (none yet). Seed the carried pending queues: each known rank's
-	// replica is exactly as stale as its queue says.
-	h.pending = make(map[int32][]indextable.Span, len(state.Pending))
-	for rank, spans := range state.Pending {
+	if err := h.importLocked(srcTable, img.Image, 0, srcTable.Len()); err != nil {
+		return nil, err
+	}
+	// Each known rank's replica is exactly as stale as its carried queue
+	// says; everyone else is seeded at handshake (the import left the home
+	// dirty, and queued nothing: no rank is registered or carried yet).
+	for rank, spans := range img.Pending {
 		h.pending[rank] = append([]indextable.Span(nil), spans...)
 	}
-	h.carried = make(map[int32]bool, len(state.Known))
-	for _, rank := range state.Known {
-		h.carried[rank] = true
-	}
-	for _, rank := range state.Joined {
-		h.joined[rank] = true
-	}
-	for idx, rank := range state.Held {
-		if idx < 0 {
-			continue
-		}
-		// The lock map starts empty in a fresh home, so each carried
-		// holder needs its state allocated, not looked up: a crash
-		// promotion that silently dropped held locks would let a second
-		// thread into a critical section the dead-connection holder is
-		// still (stickily) inside.
+	maps.Copy(h.carried, img.Known)
+	maps.Copy(h.joined, img.Joined)
+	for idx, rank := range img.Held {
+		// A crash cut that dropped held locks would let a second thread
+		// into a critical section the dead-connection holder is still
+		// (stickily) inside.
 		h.locks[idx] = &lockState{held: true, holder: rank}
 	}
-	for rank, seq := range state.Applied {
-		h.applied[rank] = seq
-	}
-	for rank, seq := range state.Released {
-		h.released[rank] = seq
-	}
+	maps.Copy(h.applied, img.Applied)
+	maps.Copy(h.released, img.Released)
 	if len(h.joined) == h.nthreads {
 		close(h.done)
 	}

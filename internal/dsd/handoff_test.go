@@ -99,7 +99,7 @@ func TestHomeHandoffMidRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	newHome, err := NewHomeFromHandoff(gthv, platform.SolarisSPARC, 3, opts, state)
+	newHome, err := NewHomeFromImage(gthv, platform.SolarisSPARC, opts, state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestHandoffCarriesPendingUpdates(t *testing.T) {
 	if len(state.Pending[1]) == 0 {
 		t.Fatal("B's pending queue should have carried over")
 	}
-	newHome, err := NewHomeFromHandoff(gthv, platform.LinuxX8664, 2, opts, state)
+	newHome, err := NewHomeFromImage(gthv, platform.LinuxX8664, opts, state)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestHandoffCarriesPendingUpdates(t *testing.T) {
 func TestDetachErrors(t *testing.T) {
 	nw := transport.NewInproc()
 	gthv := testGThV()
-	h, err := NewHome(gthv, platform.LinuxX86, 1, DefaultOptions())
+	h, err := NewHome(gthv, platform.LinuxX86, 2, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,12 +227,38 @@ func TestDetachErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	other, err := Dial(nw, "hx", platform.SolarisSPARC, 1, gthv, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	// A held lock prevents quiescence: Detach must time out.
 	if err := th.Lock(0); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Detach(20 * time.Millisecond); err == nil {
+	// A second thread asks for a free mutex while the home is frozen. The
+	// freeze parks it; the aborted detach must release it to be served.
+	locked := make(chan error, 1)
+	go func() {
+		for frozen := false; !frozen; runtime.Gosched() {
+			h.mu.Lock()
+			frozen = h.frozen
+			h.mu.Unlock()
+		}
+		locked <- other.Lock(1)
+	}()
+	if _, err := h.Detach(200 * time.Millisecond); err == nil {
 		t.Fatal("detach with a held lock must time out")
+	}
+	select {
+	case err := <-locked:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("lock requested during the failed detach was never granted")
+	}
+	if err := other.Unlock(1); err != nil {
+		t.Fatal(err)
 	}
 	if err := th.Unlock(0); err != nil {
 		t.Fatal(err)

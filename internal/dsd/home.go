@@ -70,10 +70,13 @@ type Home struct {
 	// acquire brings it up to date (late joiners, migration targets).
 	dirty bool
 	// frozen marks a home detached for handoff: new acquisitions bounce
-	// with redirects once redirectAddr is published. snapshotted marks
-	// the handoff state captured: from then on NO state mutation may be
-	// accepted (it would be lost), so update-bearing requests redirect.
+	// with redirects once redirectAddr is published. thawed is closed if
+	// that freeze is abandoned (Detach timed out), sending the requesters
+	// it parked back into acquire. snapshotted marks the handoff state
+	// captured: from then on NO state mutation may be accepted (it would
+	// be lost), so update-bearing requests redirect.
 	frozen        bool
+	thawed        chan struct{}
 	snapshotted   bool
 	redirectAddr  string
 	redirectReady chan struct{}
@@ -297,60 +300,64 @@ func (h *Home) Globals() *Globals {
 	return newGlobals(h.plat, h.table, h.master)
 }
 
-// Checkpoint snapshots the master GThV image and its CGT-RMR tag — the
-// globals half of a whole-computation checkpoint (thread states are
-// captured by the migthread layer). Safe to call while threads run: the
-// snapshot is taken under the home mutex, i.e. between update applications,
-// which is a release-consistent cut.
-func (h *Home) Checkpoint() ([]byte, string) {
+// Restore loads the master copy of a captured image into this home,
+// converting receiver-makes-right; every thread, registered or not yet,
+// receives the restored state in full at its first acquire after it. Only
+// the master is adopted: the image's lock, join and watermark state
+// describes the threads of the captured run, and threads resuming from a
+// checkpoint number their requests afresh. NewHomeFromImage is the
+// constructor that adopts all of it.
+func (h *Home) Restore(img *wire.HomeImage) error {
+	srcTable, err := img.Validate(h.gthv)
+	if err != nil {
+		return err
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	img := make([]byte, h.layout.Size)
-	if _, err := h.master.Read(0, h.layout.Size, img); err != nil {
-		panic(fmt.Sprintf("dsd: master snapshot failed: %v", err))
-	}
-	return img, tag.FromLayout(h.layout).String()
+	return h.importLocked(srcTable, img.Image, 0, srcTable.Len())
 }
 
-// Restore loads a checkpointed GThV image taken on the platform named
-// srcPlatName into the master copy, converting receiver-makes-right.
-// srcBase is the checkpointed home's GThV base address, needed to translate
-// pointer members into this home's address space. Any thread that registers
-// afterwards receives the restored state in full.
-func (h *Home) Restore(img []byte, tagStr, srcPlatName string, srcBase uint64) error {
-	srcPlat := platform.ByName(srcPlatName)
-	if srcPlat == nil {
-		return fmt.Errorf("dsd: unknown checkpoint platform %q", srcPlatName)
+// importLocked is the one receiver-makes-right master import, shared by
+// image restore (every entry) and entry migration (one entry). src holds
+// index-table entries [lo,hi) in srcTable's layout, starting at entry lo's
+// first byte. They are converted to this home's representation with pointer
+// members translated into its address space, written to the master, queued
+// as whole-entry catch-up spans for every rank whose replica the home
+// tracks (the fan-out applyUpdates uses: registered peers, and carried
+// ranks yet to re-register) and mirrored to the replicators. The home is
+// dirty afterwards, so any other rank is seeded in full when it registers.
+// Caller holds h.mu.
+func (h *Home) importLocked(srcTable *indextable.Table, src []byte, lo, hi int) error {
+	copt := convert.Options{Ptr: convert.PtrTranslate, Translator: h.table.Translator(srcTable)}
+	origin := srcTable.Entry(lo).Offset
+	ups := make([]wire.Update, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		se := srcTable.Entry(i)
+		data, _, err := convert.ScalarRun(nil, h.plat, src[se.Offset-origin:][:se.Bytes()],
+			srcTable.Platform(), se.CType, se.Count, copt)
+		if err != nil {
+			return err
+		}
+		ups = append(ups, wire.Update{Entry: int32(i), First: 0, Count: int32(se.Count), Data: data})
 	}
-	srcLayout, err := tag.NewLayout(h.gthv, srcPlat)
-	if err != nil {
-		return err
-	}
-	if want := tag.FromLayout(srcLayout).String(); tagStr != want {
-		return fmt.Errorf("dsd: checkpoint tag %q does not match GThV (%q)", tagStr, want)
-	}
-	if len(img) != srcLayout.Size {
-		return fmt.Errorf("dsd: checkpoint image %d bytes, want %d", len(img), srcLayout.Size)
-	}
-	srcTable, err := indextable.Build(srcLayout, srcBase)
-	if err != nil {
-		return err
-	}
-	out, _, err := convert.Value(h.layout, img, srcLayout,
-		convert.Options{Ptr: convert.PtrTranslate, Translator: h.table.Translator(srcTable)})
-	if err != nil {
-		return err
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if err := h.master.RawWrite(0, out); err != nil {
-		return err
+	for i := range ups {
+		if err := h.master.RawWrite(h.table.Entry(lo+i).Offset, ups[i].Data); err != nil {
+			return err
+		}
+		span := indextable.Span{Entry: lo + i, First: 0, Count: int(ups[i].Count)}
+		for rank := range h.peers {
+			h.pending[rank] = append(h.pending[rank], span)
+		}
+		for rank := range h.carried {
+			if _, registered := h.peers[rank]; !registered {
+				h.pending[rank] = append(h.pending[rank], span)
+			}
+		}
 	}
 	h.dirty = true
-	// Anything already-registered is now stale: queue the full image.
-	for rank := range h.peers {
-		h.seedFullLocked(rank)
-	}
+	// Rank -1 marks the record as an import, not any thread's release — no
+	// watermark advances.
+	h.repRecord(&wire.Replication{Event: wire.RepUpdate, Rank: -1, Mutex: -1, Updates: ups})
 	return nil
 }
 
@@ -1037,9 +1044,17 @@ const (
 // refuses to move a mutex with holders or waiters.
 func (h *Home) acquire(idx, rank int32) acqResult {
 	h.mu.Lock()
-	if h.frozen {
+	for h.frozen {
+		// Park until the detach resolves either way: a published successor
+		// means redirect; an abandoned freeze means serve after all.
+		thawed := h.thawed
 		h.mu.Unlock()
-		return acqFrozen
+		select {
+		case <-h.redirectReady:
+			return acqFrozen
+		case <-thawed:
+		}
+		h.mu.Lock()
 	}
 	if !h.ownsLock(idx) {
 		h.mu.Unlock()
@@ -1134,16 +1149,16 @@ func (h *Home) arrive(idx, rank int32, reqID uint64) (proceed bool, err error) {
 			}
 			pairs = append(pairs, wire.RepPair{Rank: r, Seq: id})
 		}
-		h.repRecord(&wire.Replication{Event: wire.RepBarrier, Rank: -1, Mutex: idx, Released: pairs})
+		h.repRecord(&wire.Replication{Event: wire.RepBarrier, Rank: -1, Mutex: idx, Marks: pairs})
 		h.gens++
 		if h.opts.CheckpointEvery > 0 && h.opts.CheckpointSink != nil &&
 			h.gens%uint64(h.opts.CheckpointEvery) == 0 {
 			// A barrier open is a consistent cut: every rank's updates for
 			// the closing generation are applied and no release has been
-			// sent yet, so the snapshot plus "resume at generation gens"
+			// sent yet, so the image plus "resume at generation gens"
 			// describes the whole cluster.
-			if snap, err := h.snapshotInitLocked(); err == nil {
-				h.opts.CheckpointSink(snap, h.gens)
+			if img, err := h.imageLocked(); err == nil {
+				h.opts.CheckpointSink(img, h.gens)
 			}
 		}
 		bs.ranks = make(map[int32]uint64)
@@ -1279,7 +1294,7 @@ func (h *Home) applyUpdates(p *peer, msg *wire.Message) error {
 	h.repRecord(&wire.Replication{
 		Event: wire.RepUpdate, Rank: p.rank, Mutex: -1,
 		Updates: rep,
-		Applied: []wire.RepPair{{Rank: p.rank, Seq: msg.Seq}},
+		Marks:   []wire.RepPair{{Rank: p.rank, Seq: msg.Seq}},
 		// Carry the release's trace context onto the durability tail: the
 		// WAL fsync and standby-replication spans parent to our apply span.
 		TraceID:    msg.TraceID,
@@ -1405,59 +1420,20 @@ func (h *Home) repFlush() {
 	}
 }
 
-// snapshotInitLocked captures the home's full state as a RepInit record —
-// master image plus lock, join and watermark state. Caller holds h.mu, so
-// the snapshot is a release-consistent cut.
-func (h *Home) snapshotInitLocked() (*wire.Replication, error) {
-	img := make([]byte, h.layout.Size)
-	if _, err := h.master.Read(0, h.layout.Size, img); err != nil {
-		return nil, err
-	}
-	init := &wire.Replication{
-		Event:    wire.RepInit,
-		Rank:     -1,
-		Mutex:    -1,
-		Platform: h.plat.Name,
-		Base:     h.table.Base(),
-		Image:    img,
-		Tag:      tag.FromLayout(h.layout).String(),
-		Dirty:    h.dirty,
-		Proto:    uint8(h.opts.Protocol),
-		Nthreads: int32(h.nthreads),
-		Epoch:    h.epoch,
-	}
-	for idx, ls := range h.locks {
-		if ls.held {
-			init.Held = append(init.Held, wire.RepPair{Rank: ls.holder, Seq: uint64(idx)})
-		}
-	}
-	for rank := range h.joined {
-		init.Joined = append(init.Joined, rank)
-	}
-	for rank, seq := range h.applied {
-		init.Applied = append(init.Applied, wire.RepPair{Rank: rank, Seq: seq})
-	}
-	for rank, seq := range h.released {
-		init.Released = append(init.Released, wire.RepPair{Rank: rank, Seq: seq})
-	}
-	return init, nil
-}
-
 // StartReplication attaches a replicator and hands it a RepInit bootstrap
-// record — full master image plus lock, join and watermark state — under
-// the home mutex, so no mutation can slip between the snapshot and the
-// stream start. Multiple replicators may attach (a standby stream and a
-// write-ahead log, say); each sees the full record sequence from its own
-// RepInit on.
+// record — the home's whole state as a HomeImage — under the home mutex, so
+// no mutation can slip between the capture and the stream start. Multiple
+// replicators may attach (a standby stream and a write-ahead log, say);
+// each sees the full record sequence from its own RepInit on.
 func (h *Home) StartReplication(r Replicator) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	init, err := h.snapshotInitLocked()
+	img, err := h.imageLocked()
 	if err != nil {
 		return err
 	}
 	h.reps = append(h.reps, r)
-	r.Record(init)
+	r.Record(&wire.Replication{Event: wire.RepInit, Rank: -1, Mutex: -1, Epoch: h.epoch, Home: img})
 	return nil
 }
 

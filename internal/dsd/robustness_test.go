@@ -405,7 +405,7 @@ func TestHandoffUnderFlakyTransport(t *testing.T) {
 			// may be wedged in a retry loop or hold the lock when its link
 			// died), so an error is as acceptable as a handoff — but the
 			// call must come back.
-			detached := make(chan *Handoff, 1)
+			detached := make(chan *wire.HomeImage, 1)
 			go func() {
 				state, err := h.Detach(500 * time.Millisecond)
 				if err != nil {
@@ -417,7 +417,7 @@ func TestHandoffUnderFlakyTransport(t *testing.T) {
 			select {
 			case state := <-detached:
 				if state != nil {
-					h2, err := NewHomeFromHandoff(testGThV(), platform.SolarisSPARC, 1, DefaultOptions(), state)
+					h2, err := NewHomeFromImage(testGThV(), platform.SolarisSPARC, DefaultOptions(), state)
 					if err != nil {
 						t.Fatalf("fail-every-%d: handoff state rejected: %v", failEvery, err)
 					}

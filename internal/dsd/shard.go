@@ -1,12 +1,6 @@
 package dsd
 
-import (
-	"fmt"
-
-	"hetdsm/internal/convert"
-	"hetdsm/internal/indextable"
-	"hetdsm/internal/wire"
-)
+import "fmt"
 
 // TransferEntry moves the master copy of one index-table entry from the
 // src shard to the dst shard: the re-homing half of heat-driven migration
@@ -20,12 +14,13 @@ import (
 // called while both mutexes are held — it must flip the directory mapping
 // and nothing else (no calls back into either home).
 //
-// The copied bytes are converted receiver-makes-right, so shards on
-// different virtual platforms exchange master state the same way threads
-// do. dst queues a conservative full-entry span for every rank it knows,
-// because src's undelivered pending spans for this entry are dropped at
-// materialization from now on; receivers that already had the data apply
-// an idempotent overwrite.
+// The copied bytes are converted receiver-makes-right (Home.importLocked),
+// so shards on different virtual platforms exchange master state the same
+// way threads do. dst queues a conservative full-entry span for every rank
+// it tracks, because src's undelivered pending spans for this entry are
+// dropped at materialization from now on; receivers that already had the
+// data apply an idempotent overwrite, and a rank that registers with dst
+// later is seeded with everything dst owns by then.
 func TransferEntry(src, dst *Home, entry int, publish func()) error {
 	if src == dst {
 		src.mu.Lock()
@@ -46,44 +41,18 @@ func TransferEntry(src, dst *Home, entry int, publish func()) error {
 	defer hi.mu.Unlock()
 
 	e := src.table.Entry(entry)
-	n := src.table.SpanBytes(indextable.Span{Entry: entry, First: 0, Count: e.Count})
-	buf := make([]byte, n)
-	if _, err := src.master.Read(e.Offset, n, buf); err != nil {
+	buf := make([]byte, e.Bytes())
+	if _, err := src.master.Read(e.Offset, len(buf), buf); err != nil {
 		return err
 	}
-	copt := convert.Options{Ptr: convert.PtrTranslate, Translator: dst.table.Translator(src.table)}
-	data, _, err := convert.ScalarRun(nil, dst.plat, buf, src.plat, e.CType, e.Count, copt)
-	if err != nil {
+	if err := dst.importLocked(src.table, buf, entry, entry+1); err != nil {
 		return err
 	}
-	de := dst.table.Entry(entry)
-	if err := dst.master.RawWrite(de.Offset, data); err != nil {
-		return err
-	}
-	dst.dirty = true
-	// Every rank gets the conservative span, connected or not: a rank that
-	// has not (re)registered with dst yet — it may never have touched this
-	// shard, or dst may be a crash-restarted incarnation the rank has not
-	// redialed — must still find the migrated bytes queued when it does.
-	span := indextable.Span{Entry: entry, First: 0, Count: de.Count}
-	for rank := int32(0); rank < int32(dst.nthreads); rank++ {
-		dst.pending[rank] = append(dst.pending[rank], span)
-	}
-	// Make the migrated bytes durable at dst's replicators (WAL, standby)
-	// before the flip: after publish, dst is the only authoritative copy,
-	// and a dst crash-restart must recover it. Rank -1 marks the record as
-	// a transfer, not any thread's release — no watermark advances.
-	dst.repRecord(&wire.Replication{
-		Event: wire.RepUpdate, Rank: -1, Mutex: -1,
-		Updates: []wire.Update{{
-			Entry: int32(entry), First: 0, Count: int32(de.Count), Data: data,
-		}},
-	})
-	// Block until the record is durable (fsynced WAL, streamed standby)
-	// BEFORE the flip: a recorded-but-unflushed transfer is exactly what a
-	// kill -9 loses, and after publish dst holds the only authoritative
-	// copy. repFlush re-acquires h.mu, so walk the replicators directly —
-	// their Flush methods never call back into either home.
+	// Block until the import's record is durable (fsynced WAL, streamed
+	// standby) BEFORE the flip: a recorded-but-unflushed transfer is exactly
+	// what a kill -9 loses, and after publish dst holds the only
+	// authoritative copy. repFlush re-acquires h.mu, so walk the replicators
+	// directly — their Flush methods never call back into either home.
 	for _, r := range dst.reps {
 		r.Flush()
 	}

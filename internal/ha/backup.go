@@ -14,11 +14,11 @@ import (
 )
 
 // Backup is a hot standby for a DSD home: it consumes the replication
-// stream and mirrors the home's durable state — the master image
-// byte-for-byte in the primary's own layout (no conversion on the hot
-// path), held locks, the joined set, and the idempotency and barrier
-// watermarks. Because the primary's handlers block on replication before
-// releasing any client, the mirror is never more than one release
+// stream and mirrors the home's durable state as a wire.HomeImage — the
+// master image byte-for-byte in the primary's own layout (no conversion on
+// the hot path), held locks, the joined set, and the idempotency and
+// barrier watermarks. Because the primary's handlers block on replication
+// before releasing any client, the mirror is never more than one release
 // operation behind what any client has observed.
 type Backup struct {
 	gthv tag.Struct
@@ -27,39 +27,23 @@ type Backup struct {
 	// Trace, when non-nil, records promote events.
 	Trace *trace.Log
 
-	mu       sync.Mutex
-	haveInit bool
-	srcPlat  *platform.Platform
-	srcBase  uint64
-	srcTable *indextable.Table
-	image    []byte
-	tagStr   string
-	dirty    bool
-	proto    uint8
-	nthreads int
-	held     map[int32]int32
-	joined   map[int32]bool
-	applied  map[int32]uint64
-	released map[int32]uint64
+	mu sync.Mutex
+	// img is the mirror, mutated in place by Apply. img.Epoch is the highest
+	// fencing epoch seen on the stream; records stamped with a lower epoch
+	// come from a fenced-off primary and are rejected.
+	img wire.HomeImage
+	// table indexes img.Image in the primary's layout; nil until the
+	// bootstrap record arrives.
+	table    *indextable.Table
 	lastSeq  uint64
 	promoted bool
-	// epoch is the highest fencing epoch seen on the stream; records
-	// stamped with a lower epoch come from a fenced-off primary and are
-	// rejected.
-	epoch uint64
 }
 
 // NewBackup builds a standby for the given GThV type. Everything else —
 // the primary's platform, thread count, image — arrives with the RepInit
 // record.
 func NewBackup(gthv tag.Struct) *Backup {
-	return &Backup{
-		gthv:     gthv,
-		held:     make(map[int32]int32),
-		joined:   make(map[int32]bool),
-		applied:  make(map[int32]uint64),
-		released: make(map[int32]uint64),
-	}
+	return &Backup{gthv: gthv}
 }
 
 // ServeReplication accepts replication connections on l and applies their
@@ -120,8 +104,8 @@ func (b *Backup) serveConn(c transport.Conn) {
 func (b *Backup) Apply(rec *wire.Replication) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if rec.Epoch != 0 && rec.Epoch < b.epoch {
-		return fmt.Errorf("ha: replication record from stale epoch %d, stream is at %d", rec.Epoch, b.epoch)
+	if rec.Epoch != 0 && rec.Epoch < b.img.Epoch {
+		return fmt.Errorf("ha: replication record from stale epoch %d, stream is at %d", rec.Epoch, b.img.Epoch)
 	}
 	if rec.Event != wire.RepInit {
 		if b.promoted {
@@ -130,88 +114,62 @@ func (b *Backup) Apply(rec *wire.Replication) error {
 		if rec.Seq != 0 && rec.Seq <= b.lastSeq {
 			return nil // duplicate delivery
 		}
+		if b.table == nil && rec.Event != wire.RepEpoch {
+			return fmt.Errorf("ha: %v record before init", rec.Event)
+		}
 	}
-	if rec.Epoch > b.epoch {
-		b.epoch = rec.Epoch
+	if rec.Epoch > b.img.Epoch {
+		b.img.Epoch = rec.Epoch
 	}
 	switch rec.Event {
 	case wire.RepInit:
-		p := platform.ByName(rec.Platform)
-		if p == nil {
-			return fmt.Errorf("ha: replication from unknown platform %q", rec.Platform)
+		if rec.Home == nil {
+			return fmt.Errorf("ha: bootstrap record carries no home image")
 		}
-		layout, err := tag.NewLayout(b.gthv, p)
+		table, err := rec.Home.Validate(b.gthv)
 		if err != nil {
 			return err
 		}
-		if want := tag.FromLayout(layout).String(); rec.Tag != want {
-			return fmt.Errorf("ha: replication tag %q does not match GThV (%q)", rec.Tag, want)
+		epoch := b.img.Epoch
+		b.img = *rec.Home.Clone() // the record may alias a receive buffer
+		// The stream does not carry queue drains, so the cut's catch-up
+		// queues go stale with the first record folded on top: drop them,
+		// and a home rebuilt from the mirror reseeds every rank in full.
+		b.img.Pending, b.img.Known = nil, nil
+		if b.img.Epoch < epoch {
+			b.img.Epoch = epoch
 		}
-		if len(rec.Image) != layout.Size {
-			return fmt.Errorf("ha: replicated image %d bytes, want %d", len(rec.Image), layout.Size)
-		}
-		table, err := indextable.Build(layout, rec.Base)
-		if err != nil {
-			return err
-		}
-		b.srcPlat = p
-		b.srcBase = rec.Base
-		b.srcTable = table
-		b.image = append([]byte(nil), rec.Image...)
-		b.tagStr = rec.Tag
-		b.dirty = rec.Dirty
-		b.proto = rec.Proto
-		b.nthreads = int(rec.Nthreads)
-		b.held = make(map[int32]int32, len(rec.Held))
-		for _, p := range rec.Held {
-			b.held[int32(p.Seq)] = p.Rank
-		}
-		b.joined = make(map[int32]bool, len(rec.Joined))
-		for _, rank := range rec.Joined {
-			b.joined[rank] = true
-		}
-		b.applied = make(map[int32]uint64, len(rec.Applied))
-		for _, p := range rec.Applied {
-			b.applied[p.Rank] = p.Seq
-		}
-		b.released = make(map[int32]uint64, len(rec.Released))
-		for _, p := range rec.Released {
-			b.released[p.Rank] = p.Seq
-		}
-		b.haveInit = true
+		b.table = table
 		b.promoted = false
 		b.lastSeq = rec.Seq
 	case wire.RepUpdate:
-		if !b.haveInit {
-			return fmt.Errorf("ha: update record before init")
-		}
 		for i := range rec.Updates {
 			u := &rec.Updates[i]
-			if int(u.Entry) >= b.srcTable.Len() || u.First < 0 || u.Count <= 0 {
+			if u.Entry < 0 || int(u.Entry) >= b.table.Len() || u.First < 0 || u.Count <= 0 {
 				return fmt.Errorf("ha: replicated span %d/%d/%d invalid", u.Entry, u.First, u.Count)
 			}
 			span := indextable.Span{Entry: int(u.Entry), First: int(u.First), Count: int(u.Count)}
-			e := b.srcTable.Entry(span.Entry)
+			e := b.table.Entry(span.Entry)
 			if span.First+span.Count > e.Count {
 				return fmt.Errorf("ha: replicated span %s[%d..%d) exceeds %d elements",
 					e.Name, span.First, span.First+span.Count, e.Count)
 			}
-			if len(u.Data) != b.srcTable.SpanBytes(span) {
+			if len(u.Data) != b.table.SpanBytes(span) {
 				return fmt.Errorf("ha: replicated span %s has %d bytes, want %d",
-					e.Name, len(u.Data), b.srcTable.SpanBytes(span))
+					e.Name, len(u.Data), b.table.SpanBytes(span))
 			}
-			copy(b.image[b.srcTable.SpanOffset(span):], u.Data)
+			copy(b.img.Image[b.table.SpanOffset(span):], u.Data)
 		}
-		b.dirty = true
-		b.advanceLocked(rec.Applied, b.applied)
+		b.img.Dirty = true
+		advance(rec.Marks, b.img.Applied)
 	case wire.RepLock:
-		b.held[rec.Mutex] = rec.Rank
+		b.img.Held[rec.Mutex] = rec.Rank
 	case wire.RepUnlock:
-		delete(b.held, rec.Mutex)
+		delete(b.img.Held, rec.Mutex)
 	case wire.RepBarrier:
-		b.advanceLocked(rec.Released, b.released)
+		advance(rec.Marks, b.img.Released)
 	case wire.RepJoin:
-		b.joined[rec.Rank] = true
+		b.img.Joined[rec.Rank] = true
 	case wire.RepEpoch:
 		// Epoch advance only; the adoption above is the whole effect.
 	default:
@@ -223,9 +181,9 @@ func (b *Backup) Apply(rec *wire.Replication) error {
 	return nil
 }
 
-// advanceLocked folds watermark pairs into a map, never regressing.
-func (b *Backup) advanceLocked(pairs []wire.RepPair, into map[int32]uint64) {
-	for _, p := range pairs {
+// advance folds watermark advances into a map, never regressing.
+func advance(marks []wire.RepPair, into map[int32]uint64) {
+	for _, p := range marks {
 		if p.Seq > into[p.Rank] {
 			into[p.Rank] = p.Seq
 		}
@@ -236,7 +194,7 @@ func (b *Backup) advanceLocked(pairs []wire.RepPair, into map[int32]uint64) {
 func (b *Backup) Ready() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.haveInit
+	return b.table != nil
 }
 
 // LastSeq returns the highest replication sequence applied.
@@ -250,111 +208,61 @@ func (b *Backup) LastSeq() uint64 {
 func (b *Backup) Epoch() uint64 {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.epoch
+	return b.img.Epoch
 }
 
 // InitRecord synthesizes a RepInit record describing the mirror's current
-// state, exactly as a home snapshotting itself would emit. The WAL uses it
+// state, exactly as a home capturing itself would emit. The WAL uses it
 // for snapshot compaction: the folded mirror replaces the record tail.
 func (b *Backup) InitRecord() (*wire.Replication, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.haveInit {
+	if b.table == nil {
 		return nil, fmt.Errorf("ha: backup has no state to snapshot")
 	}
-	rec := &wire.Replication{
-		Event:    wire.RepInit,
-		Rank:     -1,
-		Mutex:    -1,
-		Seq:      b.lastSeq,
-		Epoch:    b.epoch,
-		Platform: b.srcPlat.Name,
-		Base:     b.srcBase,
-		Image:    append([]byte(nil), b.image...),
-		Tag:      b.tagStr,
-		Dirty:    b.dirty,
-		Proto:    b.proto,
-		Nthreads: int32(b.nthreads),
-	}
-	for idx, rank := range b.held {
-		rec.Held = append(rec.Held, wire.RepPair{Rank: rank, Seq: uint64(idx)})
-	}
-	for rank := range b.joined {
-		rec.Joined = append(rec.Joined, rank)
-	}
-	for rank, seq := range b.applied {
-		rec.Applied = append(rec.Applied, wire.RepPair{Rank: rank, Seq: seq})
-	}
-	for rank, seq := range b.released {
-		rec.Released = append(rec.Released, wire.RepPair{Rank: rank, Seq: seq})
-	}
-	return rec, nil
+	return &wire.Replication{
+		Event: wire.RepInit, Rank: -1, Mutex: -1,
+		Seq: b.lastSeq, Epoch: b.img.Epoch, Home: b.img.Clone(),
+	}, nil
 }
 
-// Promote turns the mirror into a live Home on platform p by replaying it
-// through the planned-handoff path. The handoff carries no per-rank
-// pending queues and no known set, so every rank's reconnect handshake
-// reseeds its replica with the full state — the price of a crash cut is
-// one full-image transfer per thread, in exchange for never losing an
-// update. Held locks and both watermark families carry over, so replayed
-// unlocks, barriers and grants stay idempotent, and StickyLocks is forced
-// on: reconnecting holders must keep their mutexes.
+// Promote turns the mirror into a live Home on platform p. The mirror
+// carries no per-rank pending queues and no known set, so every rank's
+// reconnect handshake reseeds its replica with the full state — the price
+// of a crash cut is one full-image transfer per thread, in exchange for
+// never losing an update. Held locks and both watermark families carry
+// over, so replayed unlocks, barriers and grants stay idempotent, and
+// StickyLocks is forced on: reconnecting holders must keep their mutexes.
 //
 // The promoted home runs under a bumped fencing epoch — opts.Epoch when
 // set (WAL recovery supplies its persisted epoch), one past the stream's
 // highest otherwise — so the old primary's frames are rejected everywhere
 // should it come back. After promoting, the replication stream is refused
 // until a fresh RepInit re-arms the mirror (the new home attaching its own
-// stream), at which point the backup can promote again.
+// stream), at which point the backup can promote again. A promotion that
+// fails (options the target platform rejects, say) spends nothing: the
+// mirror keeps following the stream and can be promoted again.
 func (b *Backup) Promote(p *platform.Platform, opts dsd.Options) (*dsd.Home, error) {
 	b.mu.Lock()
-	if !b.haveInit {
-		b.mu.Unlock()
+	defer b.mu.Unlock()
+	if b.table == nil {
 		return nil, fmt.Errorf("ha: backup never received the bootstrap record")
 	}
 	if b.promoted {
-		b.mu.Unlock()
 		return nil, fmt.Errorf("ha: backup already promoted")
 	}
-	b.promoted = true
 	if opts.Epoch == 0 {
-		opts.Epoch = b.epoch + 1
+		opts.Epoch = b.img.Epoch + 1
 	}
-	state := &dsd.Handoff{
-		Platform: b.srcPlat.Name,
-		Base:     b.srcBase,
-		Image:    append([]byte(nil), b.image...),
-		Tag:      b.tagStr,
-		Dirty:    b.dirty,
-		Held:     make(map[int32]int32, len(b.held)),
-		Applied:  make(map[int32]uint64, len(b.applied)),
-		Released: make(map[int32]uint64, len(b.released)),
-	}
-	for idx, rank := range b.held {
-		state.Held[idx] = rank
-	}
-	for rank, seq := range b.applied {
-		state.Applied[rank] = seq
-	}
-	for rank, seq := range b.released {
-		state.Released[rank] = seq
-	}
-	for rank := range b.joined {
-		state.Joined = append(state.Joined, rank)
-	}
-	nthreads := b.nthreads
-	proto := b.proto
-	b.mu.Unlock()
-
 	opts.StickyLocks = true
-	opts.Protocol = dsd.Protocol(proto)
-	h, err := dsd.NewHomeFromHandoff(b.gthv, p, nthreads, opts, state)
+	h, err := dsd.NewHomeFromImage(b.gthv, p, opts, &b.img)
 	if err != nil {
 		return nil, err
 	}
+	b.promoted = true
 	if b.Counters != nil {
 		b.Counters.Failovers.Add(1)
 	}
-	b.Trace.Record("backup@"+p.Name, trace.KindPromote, -1, -1, len(state.Image), "")
+	b.Trace.Record("backup@"+p.Name, trace.KindPromote, -1, -1, len(b.img.Image), "")
 	return h, nil
 }

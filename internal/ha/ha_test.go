@@ -233,15 +233,17 @@ func initRecord(t *testing.T, gthv tag.Struct, p *platform.Platform, seq uint64)
 		t.Fatal(err)
 	}
 	return &wire.Replication{
-		Seq:      seq,
-		Event:    wire.RepInit,
-		Rank:     -1,
-		Mutex:    -1,
-		Platform: p.Name,
-		Base:     0x40000000,
-		Image:    make([]byte, layout.Size),
-		Tag:      tag.FromLayout(layout).String(),
-		Nthreads: 2,
+		Seq:   seq,
+		Event: wire.RepInit,
+		Rank:  -1,
+		Mutex: -1,
+		Home: &wire.HomeImage{
+			Platform: p.Name,
+			Base:     0x40000000,
+			Image:    make([]byte, layout.Size),
+			Tag:      tag.FromLayout(layout).String(),
+			Nthreads: 2,
+		},
 	}
 }
 
@@ -254,17 +256,17 @@ func TestBackupDeduplicatesAndValidates(t *testing.T) {
 	}
 
 	bad := initRecord(t, gthv, platform.LinuxX86, 1)
-	bad.Image = bad.Image[:len(bad.Image)-1]
+	bad.Home.Image = bad.Home.Image[:len(bad.Home.Image)-1]
 	if err := b.Apply(bad); err == nil {
 		t.Error("short image accepted")
 	}
 	bad = initRecord(t, gthv, platform.LinuxX86, 1)
-	bad.Tag = "(4,1)"
+	bad.Home.Tag = "(4,1)"
 	if err := b.Apply(bad); err == nil {
 		t.Error("mismatched tag accepted")
 	}
 	bad = initRecord(t, gthv, platform.LinuxX86, 1)
-	bad.Platform = "vax-780"
+	bad.Home.Platform = "vax-780"
 	if err := b.Apply(bad); err == nil {
 		t.Error("unknown platform accepted")
 	}

@@ -98,3 +98,30 @@ func TestBackupRejectsStaleEpochRecords(t *testing.T) {
 		t.Fatalf("LastSeq = %d, want 2", b.LastSeq())
 	}
 }
+
+// TestFailedPromoteKeepsBackupArmed covers the promote-bricks-the-standby
+// bug: a promotion whose home cannot be built (here a base address the
+// target platform's page size rejects) used to mark the mirror spent anyway,
+// so the operator's corrected retry — and every later stream record — was
+// refused.
+func TestFailedPromoteKeepsBackupArmed(t *testing.T) {
+	gthv := testGThV()
+	b := ha.NewBackup(gthv)
+	if err := b.Apply(initRecord(t, gthv, platform.LinuxX86, 1)); err != nil {
+		t.Fatal(err)
+	}
+
+	bad := dsd.DefaultOptions()
+	bad.Base += 4096 // a linux-x86 page, not a solaris-sparc one
+	if _, err := b.Promote(platform.SolarisSPARC, bad); err == nil {
+		t.Fatal("promotion with a misaligned base succeeded")
+	}
+	if err := b.Apply(&wire.Replication{Seq: 2, Event: wire.RepLock, Mutex: 0, Rank: 1}); err != nil {
+		t.Fatalf("stream refused after a failed promotion: %v", err)
+	}
+	h, err := b.Promote(platform.SolarisSPARC, dsd.DefaultOptions())
+	if err != nil {
+		t.Fatalf("promotion after a failed one: %v", err)
+	}
+	h.Close()
+}

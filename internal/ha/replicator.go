@@ -165,7 +165,7 @@ func (r *Replicator) sender() {
 			r.fail(err)
 			return
 		}
-		r.Trace.Record("replicator", trace.KindReplicate, rec.Rank, rec.Mutex, len(rec.Image)+wire.UpdateBytes(rec.Updates), "")
+		r.Trace.Record("replicator", trace.KindReplicate, rec.Rank, rec.Mutex, rec.DataBytes(), "")
 	}
 }
 

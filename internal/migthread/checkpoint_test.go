@@ -10,6 +10,7 @@ import (
 	"hetdsm/internal/dsd"
 	"hetdsm/internal/platform"
 	"hetdsm/internal/transport"
+	"hetdsm/internal/wire"
 )
 
 // TestWholeComputationCheckpointRecovery checkpoints a running computation
@@ -80,9 +81,11 @@ func TestWholeComputationCheckpointRecovery(t *testing.T) {
 	}
 	// Pair it with the home's globals image, and serialize both to one
 	// blob as a real checkpointer would.
-	gImg, gTag := home.Checkpoint()
-	ck.Globals = gImg
-	ck.GlobalsTag = gTag
+	img, err := home.Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Globals, ck.GlobalsTag = img.Image, img.Tag
 	var blobBuf bytes.Buffer
 	if err := ck.Save(&blobBuf); err != nil {
 		t.Fatal(err)
@@ -107,7 +110,10 @@ func TestWholeComputationCheckpointRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := home2.Restore(loaded.Globals, loaded.GlobalsTag, loaded.Platform, dsd.DefaultBase); err != nil {
+	if err := home2.Restore(&wire.HomeImage{
+		Platform: loaded.Platform, Base: dsd.DefaultBase,
+		Image: loaded.Globals, Tag: loaded.GlobalsTag, Nthreads: 1,
+	}); err != nil {
 		t.Fatal(err)
 	}
 	hl2, err := nw2.Listen("home")

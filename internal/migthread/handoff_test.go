@@ -71,7 +71,7 @@ func TestMasterMigrationScenario(t *testing.T) {
 						t.Errorf("detach: %v", err)
 						return
 					}
-					h2, err := dsd.NewHomeFromHandoff(gthv, platform.SolarisSPARC, 1, opts, state)
+					h2, err := dsd.NewHomeFromImage(gthv, platform.SolarisSPARC, opts, state)
 					if err != nil {
 						t.Errorf("handoff: %v", err)
 						return

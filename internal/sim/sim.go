@@ -386,7 +386,7 @@ func Run(plan Plan) Result {
 				if err != nil {
 					return fmt.Errorf("sim: detach: %w", err)
 				}
-				succ, err := dsd.NewHomeFromHandoff(gthv, homePlat, plan.Threads, opts, state)
+				succ, err := dsd.NewHomeFromImage(gthv, homePlat, opts, state)
 				if err != nil {
 					return fmt.Errorf("sim: handoff: %w", err)
 				}

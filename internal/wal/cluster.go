@@ -15,12 +15,12 @@ import (
 // consistent cut of the whole computation — every rank's updates for the
 // closing generation are applied, no lock is held by a well-synchronized
 // program, and each rank's logical position is simply "about to leave
-// barrier generation N". A cut therefore needs only the home snapshot
-// (reused from the WAL's compaction format), one tiny checkpoint.Checkpoint
-// per rank recording its platform and generation, and a manifest naming the
-// generation. Restore is heterogeneous: the home image converts
-// receiver-makes-right, and fresh replicas are reseeded in full at each
-// rank's first acquire.
+// barrier generation N". A cut therefore needs only the home's state image
+// (home.snap, the same framed RepInit record as wal.snap), one tiny
+// checkpoint.Checkpoint per rank recording its platform and generation, and
+// a manifest naming the generation. Restore is heterogeneous: the home image
+// converts receiver-makes-right, and fresh replicas are reseeded in full at
+// each rank's first acquire.
 
 const (
 	manifestName = "manifest.json"
@@ -32,9 +32,9 @@ type Cut struct {
 	// Gen is the barrier generation the cut was taken at; workloads
 	// resume at phase Gen.
 	Gen uint64
-	// Snap is the home's state: a RepInit-shaped record whose image is in
-	// the checkpointed home's representation.
-	Snap *wire.Replication
+	// Snap is the home's state at the cut, its master image in the
+	// checkpointed home's representation.
+	Snap *wire.HomeImage
 	// Ranks maps each rank to its thread checkpoint (platform + PC=Gen).
 	Ranks map[int32]*checkpoint.Checkpoint
 }
@@ -47,16 +47,17 @@ type cutManifest struct {
 	Ranks []int32 `json:"ranks"`
 }
 
-// WriteCut persists a coordinated cluster checkpoint: the home snapshot,
+// WriteCut persists a coordinated cluster checkpoint: the home image,
 // one thread checkpoint per rank (platform + generation as the logical
 // PC), and the manifest last. Safe to call from a dsd CheckpointSink (it
 // only writes files). Successive cuts overwrite in place; a torn write is
 // harmless because the manifest rename commits the cut atomically.
-func WriteCut(dir string, snap *wire.Replication, gen uint64, rankPlats map[int32]string) error {
+func WriteCut(dir string, snap *wire.HomeImage, gen uint64, rankPlats map[int32]string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := writeFileSync(filepath.Join(dir, homeSnapName), encodeSnapshot(snap)); err != nil {
+	init := &wire.Replication{Event: wire.RepInit, Rank: -1, Mutex: -1, Epoch: snap.Epoch, Home: snap}
+	if err := writeFileSync(filepath.Join(dir, homeSnapName), frame(init)); err != nil {
 		return err
 	}
 	man := cutManifest{Gen: gen, Epoch: snap.Epoch}
@@ -88,15 +89,11 @@ func LoadCut(dir string) (*Cut, error) {
 	if err := json.Unmarshal(mb, &man); err != nil {
 		return nil, fmt.Errorf("wal: manifest: %w", err)
 	}
-	blob, err := os.ReadFile(filepath.Join(dir, homeSnapName))
+	init, err := readSnap(filepath.Join(dir, homeSnapName))
 	if err != nil {
 		return nil, err
 	}
-	snap, err := decodeSnapshot(blob)
-	if err != nil {
-		return nil, err
-	}
-	cut := &Cut{Gen: man.Gen, Snap: snap, Ranks: make(map[int32]*checkpoint.Checkpoint, len(man.Ranks))}
+	cut := &Cut{Gen: man.Gen, Snap: init.Home, Ranks: make(map[int32]*checkpoint.Checkpoint, len(man.Ranks))}
 	for _, rank := range man.Ranks {
 		cb, err := os.ReadFile(filepath.Join(dir, rankFile(rank)))
 		if err != nil {

@@ -1,6 +1,6 @@
 // Package wal makes the home node durable: a CRC-framed, fsync-batched
 // write-ahead log of the replication record stream, with periodic snapshot
-// compaction reusing the checkpoint blob format.
+// compaction — wal.snap is one RepInit record in the log's own frame.
 //
 // The log attaches to a home exactly like a hot-standby stream — it
 // implements dsd.Replicator — so the home's existing ordering guarantee
@@ -131,20 +131,14 @@ func Open(opts Options) (*Log, error) {
 	}
 	l.cond = sync.NewCond(&l.mu)
 
-	var maxEpoch uint64
-	if blob, err := os.ReadFile(filepath.Join(l.dir, snapName)); err == nil {
-		init, err := decodeSnapshot(blob)
-		if err != nil {
-			return nil, fmt.Errorf("wal: snapshot: %w", err)
-		}
+	if init, err := readSnap(filepath.Join(l.dir, snapName)); err == nil {
 		if err := l.mirror.Apply(init); err != nil {
 			return nil, fmt.Errorf("wal: snapshot: %w", err)
 		}
 		l.next = init.Seq
-		maxEpoch = init.Epoch
 		l.hadState = true
 	} else if !os.IsNotExist(err) {
-		return nil, err
+		return nil, fmt.Errorf("wal: snapshot: %w", err)
 	}
 
 	logPath := filepath.Join(l.dir, logName)
@@ -153,12 +147,13 @@ func Open(opts Options) (*Log, error) {
 		return nil, err
 	}
 	l.f = f
-	if err := l.replayLog(&maxEpoch); err != nil {
+	if err := l.replayLog(); err != nil {
 		f.Close()
 		return nil, err
 	}
 
-	l.epoch = maxEpoch + 1
+	// The mirror adopted the highest epoch of everything it folded.
+	l.epoch = l.mirror.Epoch() + 1
 	opts.Flight.Note(opts.Node, flight.KindRestart, -1, l.epoch, uint64(l.replayed))
 	if l.hadState {
 		// Persist the bump: a RepEpoch record survives a crash before the
@@ -190,25 +185,15 @@ func Open(opts Options) (*Log, error) {
 // replayLog folds every intact record of wal.log into the mirror,
 // truncates at the first torn or corrupt record, and leaves the file
 // positioned for appends.
-func (l *Log) replayLog(maxEpoch *uint64) error {
+func (l *Log) replayLog() error {
 	data, err := io.ReadAll(l.f)
 	if err != nil {
 		return err
 	}
-	off := 0
 	good := 0
-	for off+frameHeader <= len(data) {
-		n := int(binary.BigEndian.Uint32(data[off:]))
-		sum := binary.BigEndian.Uint32(data[off+4:])
-		if n <= 0 || n > wire.MaxFrame || off+frameHeader+n > len(data) {
-			break // torn tail: length field or payload incomplete
-		}
-		payload := data[off+frameHeader : off+frameHeader+n]
-		if crc32.ChecksumIEEE(payload) != sum {
-			break // corrupt record: never replay garbage
-		}
-		rec, err := wire.DecodeReplication(payload)
-		if err != nil {
+	for {
+		rec, n := unframe(data[good:])
+		if rec == nil {
 			break
 		}
 		if err := l.mirror.Apply(rec); err != nil {
@@ -219,12 +204,8 @@ func (l *Log) replayLog(maxEpoch *uint64) error {
 		if rec.Seq > l.next {
 			l.next = rec.Seq
 		}
-		if rec.Epoch > *maxEpoch {
-			*maxEpoch = rec.Epoch
-		}
 		l.replayed++
-		off += frameHeader + n
-		good = off
+		good += n
 	}
 	if good < len(data) {
 		l.truncated = true
@@ -244,16 +225,56 @@ func (l *Log) replayLog(maxEpoch *uint64) error {
 	return nil
 }
 
+// frame encodes one record in the on-disk form every WAL file uses: u32
+// payload length, u32 CRC-32 (IEEE) of the payload, payload.
+func frame(rec *wire.Replication) []byte {
+	payload := wire.EncodeReplication(rec)
+	out := make([]byte, frameHeader, frameHeader+len(payload))
+	binary.BigEndian.PutUint32(out[:4], uint32(len(payload)))
+	binary.BigEndian.PutUint32(out[4:], crc32.ChecksumIEEE(payload))
+	return append(out, payload...)
+}
+
+// unframe parses the record framed at the start of data and reports how
+// many bytes it spans. A torn, corrupt or undecodable frame yields nil:
+// garbage is never replayed.
+func unframe(data []byte) (*wire.Replication, int) {
+	if len(data) < frameHeader {
+		return nil, 0
+	}
+	n := int(binary.BigEndian.Uint32(data))
+	sum := binary.BigEndian.Uint32(data[4:])
+	if n <= 0 || n > wire.MaxFrame || frameHeader+n > len(data) {
+		return nil, 0 // torn: length field or payload incomplete
+	}
+	payload := data[frameHeader : frameHeader+n]
+	if crc32.ChecksumIEEE(payload) != sum {
+		return nil, 0
+	}
+	rec, err := wire.DecodeReplication(payload)
+	if err != nil {
+		return nil, 0
+	}
+	return rec, frameHeader + n
+}
+
+// readSnap loads a file holding exactly one framed RepInit record: wal.snap
+// and a cluster cut's home.snap.
+func readSnap(path string) (*wire.Replication, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	rec, n := unframe(data)
+	if rec == nil || n != len(data) || rec.Event != wire.RepInit || rec.Home == nil {
+		return nil, fmt.Errorf("wal: %s is not one intact %v record", path, wire.RepInit)
+	}
+	return rec, nil
+}
+
 // writeRecord frames and appends one record to wal.log without syncing.
 func (l *Log) writeRecord(rec *wire.Replication) error {
-	payload := wire.EncodeReplication(rec)
-	var hdr [frameHeader]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.ChecksumIEEE(payload))
-	if _, err := l.f.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := l.f.Write(payload)
+	_, err := l.f.Write(frame(rec))
 	return err
 }
 
@@ -383,36 +404,14 @@ func (l *Log) compact() {
 	}
 	l.mu.Unlock()
 
-	blob := encodeSnapshot(init)
-	tmp := filepath.Join(l.dir, snapName+".tmp")
-	tf, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	err = writeFileSync(filepath.Join(l.dir, snapName), frame(init))
+	if err == nil {
+		err = l.f.Truncate(0)
+	}
+	if err == nil {
+		_, err = l.f.Seek(0, io.SeekStart)
+	}
 	if err != nil {
-		l.fail(err)
-		return
-	}
-	if _, err := tf.Write(blob); err != nil {
-		tf.Close()
-		l.fail(err)
-		return
-	}
-	if err := tf.Sync(); err != nil {
-		tf.Close()
-		l.fail(err)
-		return
-	}
-	if err := tf.Close(); err != nil {
-		l.fail(err)
-		return
-	}
-	if err := os.Rename(tmp, filepath.Join(l.dir, snapName)); err != nil {
-		l.fail(err)
-		return
-	}
-	if err := l.f.Truncate(0); err != nil {
-		l.fail(err)
-		return
-	}
-	if _, err := l.f.Seek(0, io.SeekStart); err != nil {
 		l.fail(err)
 		return
 	}

@@ -2,7 +2,6 @@ package wal
 
 import (
 	"encoding/binary"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
@@ -27,33 +26,26 @@ func testGThV() tag.Struct {
 }
 
 // testInit builds a valid bootstrap record for testGThV on linux-x86.
-func testInit(t *testing.T, seq, epoch uint64) *wire.Replication {
+func testInit(t testing.TB, seq, epoch uint64) *wire.Replication {
 	t.Helper()
 	layout, err := tag.NewLayout(testGThV(), platform.LinuxX86)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return &wire.Replication{
-		Event:    wire.RepInit,
-		Rank:     -1,
-		Mutex:    -1,
-		Seq:      seq,
-		Epoch:    epoch,
-		Platform: platform.LinuxX86.Name,
-		Base:     0x1000,
-		Image:    make([]byte, layout.Size),
-		Tag:      tag.FromLayout(layout).String(),
-		Nthreads: 2,
+		Event: wire.RepInit,
+		Rank:  -1,
+		Mutex: -1,
+		Seq:   seq,
+		Epoch: epoch,
+		Home: &wire.HomeImage{
+			Platform: platform.LinuxX86.Name,
+			Base:     0x1000,
+			Image:    make([]byte, layout.Size),
+			Tag:      tag.FromLayout(layout).String(),
+			Nthreads: 2,
+		},
 	}
-}
-
-// frame encodes one record with the WAL's length+CRC framing.
-func frame(rec *wire.Replication) []byte {
-	payload := wire.EncodeReplication(rec)
-	out := make([]byte, frameHeader, frameHeader+len(payload))
-	binary.BigEndian.PutUint32(out[:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(out[4:], crc32.ChecksumIEEE(payload))
-	return append(out, payload...)
 }
 
 func openTest(t *testing.T, dir string) *Log {
@@ -251,7 +243,7 @@ func TestRecoverHomeHeterogeneous(t *testing.T) {
 	}
 	for i, v := range vals {
 		f := layout.Fields[0]
-		binary.LittleEndian.PutUint32(init.Image[f.Offset+i*4:], uint32(int32(v)))
+		binary.LittleEndian.PutUint32(init.Home.Image[f.Offset+i*4:], uint32(int32(v)))
 	}
 	l.Record(init)
 	l.Flush()

@@ -19,6 +19,13 @@ func FuzzDecode(f *testing.F) {
 			PC: 9, FrameTag: "(8,1)(0,0)", Frame: make([]byte, 8), ExtraTag: "(1,2)", Extra: []byte{1, 2},
 		}},
 		{Kind: KindRedirect, Addr: "home2", Err: "moved"},
+		{Kind: KindReplicate, Seq: 1, Rank: -1, Mutex: -1, Rep: &Replication{
+			Seq: 1, Event: RepInit, Rank: -1, Mutex: -1, Epoch: 3, Home: sampleHomeImage(),
+		}},
+		{Kind: KindReplicate, Seq: 2, Rank: 1, Mutex: -1, Rep: &Replication{
+			Seq: 2, Event: RepUpdate, Rank: 1, Mutex: -1, Marks: []RepPair{{Rank: 1, Seq: 8}},
+			Updates: []Update{{Entry: 1, First: 0, Count: 1, Data: []byte{0, 0, 0, 7}}},
+		}},
 	}
 	for _, m := range seeds {
 		b, err := Encode(m)

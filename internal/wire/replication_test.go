@@ -3,6 +3,8 @@ package wire
 import (
 	"reflect"
 	"testing"
+
+	"hetdsm/internal/indextable"
 )
 
 func TestEncodeDecodeHeartbeat(t *testing.T) {
@@ -24,6 +26,27 @@ func TestEncodeDecodeHeartbeat(t *testing.T) {
 	}
 }
 
+// sampleHomeImage populates every HomeImage field, so codec tests and the
+// fuzz seeds exercise all of them.
+func sampleHomeImage() *HomeImage {
+	return &HomeImage{
+		Platform: "solaris-sparc",
+		Base:     0x40058000,
+		Image:    []byte{1, 2, 3, 4, 5, 6, 7, 8},
+		Tag:      "(4,-1)(4,3)",
+		Dirty:    true,
+		Proto:    1,
+		Nthreads: 4,
+		Epoch:    3,
+		Held:     map[int32]int32{0: 1, 5: 2},
+		Joined:   map[int32]bool{0: true, 2: true},
+		Applied:  map[int32]uint64{0: 12, 1: 7},
+		Released: map[int32]uint64{2: 3},
+		Pending:  map[int32][]indextable.Span{1: {{Entry: 1, First: 0, Count: 3}}, 3: {{Entry: 0, First: 0, Count: 1}}},
+		Known:    map[int32]bool{1: true, 3: true},
+	}
+}
+
 func TestEncodeDecodeReplication(t *testing.T) {
 	m := &Message{
 		Kind:  KindReplicate,
@@ -31,24 +54,16 @@ func TestEncodeDecodeReplication(t *testing.T) {
 		Rank:  -1,
 		Mutex: 2,
 		Rep: &Replication{
-			Seq:      9,
-			Event:    RepInit,
-			Rank:     -1,
-			Mutex:    2,
-			Platform: "solaris-sparc",
-			Base:     0x40058000,
-			Image:    []byte{1, 2, 3, 4, 5, 6, 7, 8},
-			Tag:      "(4,-1)(4,3)",
-			Dirty:    true,
-			Proto:    1,
-			Nthreads: 4,
+			Seq:   9,
+			Event: RepInit,
+			Rank:  -1,
+			Mutex: 2,
+			Home:  sampleHomeImage(),
 			Updates: []Update{
 				{Entry: 1, First: 2, Count: 2, Tag: "(4,2)", Data: []byte{0, 0, 0, 1, 0, 0, 0, 2}},
 			},
-			Held:     []RepPair{{Rank: 1, Seq: 0}, {Rank: 2, Seq: 5}},
-			Applied:  []RepPair{{Rank: 0, Seq: 12}, {Rank: 1, Seq: 7}},
-			Released: []RepPair{{Rank: 2, Seq: 3}},
-			Joined:   []int32{0, 2},
+			Marks: []RepPair{{Rank: 0, Seq: 12}, {Rank: 1, Seq: 7}},
+			Epoch: 3,
 		},
 	}
 	b, err := Encode(m)

@@ -183,18 +183,18 @@ type RepEvent uint8
 const (
 	// RepInvalid is the zero value; never sent.
 	RepInvalid RepEvent = iota
-	// RepInit bootstraps the backup: full master image plus lock, join
-	// and watermark state at stream start.
+	// RepInit bootstraps the backup: the home's whole state at stream
+	// start, as a HomeImage.
 	RepInit
-	// RepUpdate mirrors an applied update batch; the enclosing message's
-	// Updates carry the spans with data in the home's representation.
+	// RepUpdate mirrors an applied update batch; Updates carry the spans
+	// with data in the home's representation.
 	RepUpdate
 	// RepLock mirrors a mutex grant: Rank now holds Mutex.
 	RepLock
 	// RepUnlock mirrors a mutex becoming free.
 	RepUnlock
-	// RepBarrier mirrors a barrier generation opening; Released lists
-	// each arrived rank with the request id its release answers.
+	// RepBarrier mirrors a barrier generation opening; Marks lists each
+	// arrived rank with the request id its release answers.
 	RepBarrier
 	// RepJoin mirrors a rank joining.
 	RepJoin
@@ -224,8 +224,8 @@ func (e RepEvent) String() string {
 	return fmt.Sprintf("rep-event-%d", uint8(e))
 }
 
-// RepPair is a (rank, sequence) pair used for replicated watermarks and,
-// with Seq holding a mutex index, for replicated lock holders.
+// RepPair is one rank's watermark advance: its request id Seq is now the
+// rank's applied (RepUpdate) or barrier-release (RepBarrier) watermark.
 type RepPair struct {
 	Rank int32
 	Seq  uint64
@@ -242,30 +242,16 @@ type Replication struct {
 	Rank int32
 	// Mutex is the lock/barrier index; -1 if none.
 	Mutex int32
-	// Platform, Base, Image, Tag, Dirty, Proto and Nthreads describe the
-	// home at stream start (RepInit only): the master image travels in
-	// the home's own representation.
-	Platform string
-	Base     uint64
-	Image    []byte
-	Tag      string
-	Dirty    bool
-	Proto    uint8
-	Nthreads int32
+	// Home is the home's whole state at stream start (RepInit only).
+	Home *HomeImage
 	// Updates carries the mutated spans with data in the home's own
 	// representation (RepUpdate only): the backup mirrors the master
 	// image byte-for-byte, no conversion.
 	Updates []Update
-	// Held lists currently held locks as {holder rank, mutex} (RepInit).
-	Held []RepPair
-	// Joined lists ranks that have joined (RepInit).
-	Joined []int32
-	// Applied carries per-rank idempotency watermarks: the highest
-	// update-bearing request id applied for each rank.
-	Applied []RepPair
-	// Released carries per-rank barrier-release watermarks: the request
-	// id of the last barrier arrival whose release was issued.
-	Released []RepPair
+	// Marks carries the watermark advances the mutation made: the updating
+	// rank's applied mark on RepUpdate, every arrived rank's release mark
+	// on RepBarrier.
+	Marks []RepPair
 	// Epoch is the fencing epoch of the home that emitted the record;
 	// mirrors and the WAL reject records from a stale epoch.
 	Epoch uint64
@@ -424,25 +410,16 @@ func appendRep(buf []byte, r *Replication) []byte {
 	buf = append(buf, byte(r.Event))
 	buf = be32(buf, uint32(r.Rank))
 	buf = be32(buf, uint32(r.Mutex))
-	buf = appendString(buf, r.Platform)
-	buf = be64(buf, r.Base)
-	buf = appendBytes(buf, r.Image)
-	buf = appendString(buf, r.Tag)
-	if r.Dirty {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+	buf = appendBool(buf, r.Home != nil)
+	if r.Home != nil {
+		buf = appendHome(buf, r.Home)
 	}
-	buf = append(buf, r.Proto)
-	buf = be32(buf, uint32(r.Nthreads))
 	buf = appendUpdates(buf, r.Updates)
-	buf = appendPairs(buf, r.Held)
-	buf = be32(buf, uint32(len(r.Joined)))
-	for _, rank := range r.Joined {
-		buf = be32(buf, uint32(rank))
+	buf = be32(buf, uint32(len(r.Marks)))
+	for _, p := range r.Marks {
+		buf = be32(buf, uint32(p.Rank))
+		buf = be64(buf, p.Seq)
 	}
-	buf = appendPairs(buf, r.Applied)
-	buf = appendPairs(buf, r.Released)
 	buf = be64(buf, r.Epoch)
 	buf = be64(buf, r.TraceID)
 	buf = be64(buf, r.ParentSpan)
@@ -452,8 +429,8 @@ func appendRep(buf []byte, r *Replication) []byte {
 // EncodeReplication serializes a bare replication record outside any
 // message frame; the write-ahead log stores records in this form.
 func EncodeReplication(r *Replication) []byte {
-	buf := make([]byte, 0, 96+len(r.Image)+encodedUpdatesSize(r.Updates))
-	return appendRep(buf, r)
+	// 20 bytes frame each untagged update; lists and tags grow the buffer.
+	return appendRep(make([]byte, 0, 96+r.DataBytes()+20*len(r.Updates)), r)
 }
 
 // DecodeReplication parses a record encoded by EncodeReplication,
@@ -482,15 +459,6 @@ func appendUpdates(buf []byte, us []Update) []byte {
 		buf = be32(buf, uint32(u.Count))
 		buf = appendString(buf, u.Tag)
 		buf = appendBytes(buf, u.Data)
-	}
-	return buf
-}
-
-func appendPairs(buf []byte, ps []RepPair) []byte {
-	buf = be32(buf, uint32(len(ps)))
-	for _, p := range ps {
-		buf = be32(buf, uint32(p.Rank))
-		buf = be64(buf, p.Seq)
 	}
 	return buf
 }
@@ -605,6 +573,13 @@ func appendBytes(b, p []byte) []byte {
 	return append(b, p...)
 }
 
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
 type decoder struct {
 	b   []byte
 	off int
@@ -661,8 +636,8 @@ func (d *decoder) str() string {
 	return s
 }
 
-// maxRepEntries bounds the pair and joined lists in a replication record;
-// entries are per-rank, so even huge clusters stay far below this.
+// maxRepEntries bounds every list in a replication record or home image;
+// entries are per rank or per mutex, so even huge clusters stay far below.
 const maxRepEntries = 1 << 20
 
 func (d *decoder) rep() (*Replication, error) {
@@ -671,35 +646,15 @@ func (d *decoder) rep() (*Replication, error) {
 	r.Event = RepEvent(d.u8())
 	r.Rank = int32(d.u32())
 	r.Mutex = int32(d.u32())
-	r.Platform = d.str()
-	r.Base = d.u64()
-	r.Image = d.bytes()
-	r.Tag = d.str()
-	r.Dirty = d.u8() == 1
-	r.Proto = d.u8()
-	r.Nthreads = int32(d.u32())
+	if d.u8() == 1 {
+		r.Home = d.home()
+	}
 	var err error
 	if r.Updates, err = d.updates(); err != nil {
 		return nil, err
 	}
-	if r.Held, err = d.pairs(); err != nil {
-		return nil, err
-	}
-	n := int(d.u32())
-	if d.err == nil && n > 0 {
-		if n > maxRepEntries {
-			return nil, fmt.Errorf("wire: implausible joined count %d", n)
-		}
-		r.Joined = make([]int32, n)
-		for i := range r.Joined {
-			r.Joined[i] = int32(d.u32())
-		}
-	}
-	if r.Applied, err = d.pairs(); err != nil {
-		return nil, err
-	}
-	if r.Released, err = d.pairs(); err != nil {
-		return nil, err
+	for n := d.count("mark"); n > 0 && d.err == nil; n-- {
+		r.Marks = append(r.Marks, RepPair{Rank: int32(d.u32()), Seq: d.u64()})
 	}
 	r.Epoch = d.u64()
 	r.TraceID = d.u64()
@@ -727,22 +682,6 @@ func (d *decoder) updates() ([]Update, error) {
 	return us, nil
 }
 
-func (d *decoder) pairs() ([]RepPair, error) {
-	n := int(d.u32())
-	if d.err != nil || n == 0 {
-		return nil, nil
-	}
-	if n > maxRepEntries {
-		return nil, fmt.Errorf("wire: implausible pair count %d", n)
-	}
-	ps := make([]RepPair, n)
-	for i := range ps {
-		ps[i].Rank = int32(d.u32())
-		ps[i].Seq = d.u64()
-	}
-	return ps, nil
-}
-
 func (d *decoder) bytes() []byte {
 	n := int(d.u32())
 	if d.err != nil || n == 0 {
@@ -755,6 +694,16 @@ func (d *decoder) bytes() []byte {
 	p := d.b[d.off : d.off+n : d.off+n]
 	d.off += n
 	return p
+}
+
+// DataBytes sums the record's bulk payload: update data plus, on RepInit,
+// the master image.
+func (r *Replication) DataBytes() int {
+	n := UpdateBytes(r.Updates)
+	if r.Home != nil {
+		n += len(r.Home.Image)
+	}
+	return n
 }
 
 // UpdateBytes sums the payload sizes of a set of updates; used for the
