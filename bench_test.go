@@ -195,12 +195,6 @@ func BenchmarkAblation_NoWholeArray(b *testing.B) {
 	benchAblation(b, func(o *dsd.Options) { o.WholeArrayThreshold = 0 })
 }
 
-// BenchmarkAblation_WordDiff compares twins word-by-word instead of
-// byte-by-byte.
-func BenchmarkAblation_WordDiff(b *testing.B) {
-	benchAblation(b, func(o *dsd.Options) { o.Diff = vmem.DiffWord })
-}
-
 // BenchmarkAblation_InvalidateProtocol swaps the paper's update protocol
 // for invalidate-with-demand-fetch. In matmul the workers never read each
 // other's C blocks, so the redistribution data vanishes; they do read A and

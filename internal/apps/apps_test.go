@@ -168,7 +168,6 @@ func TestRunWithAblations(t *testing.T) {
 	}{
 		{"no-coalesce", func(o *dsd.Options) { o.Coalesce = false }},
 		{"no-whole-array", func(o *dsd.Options) { o.WholeArrayThreshold = 0 }},
-		{"word-diff", func(o *dsd.Options) { o.Diff = 1 }},
 	} {
 		mod := mod
 		t.Run(mod.name, func(t *testing.T) {

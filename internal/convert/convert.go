@@ -16,6 +16,7 @@ package convert
 
 import (
 	"fmt"
+	"slices"
 
 	"hetdsm/internal/platform"
 	"hetdsm/internal/tag"
@@ -86,20 +87,30 @@ func ScalarRun(dst []byte, dstP *platform.Platform, src []byte, srcP *platform.P
 	}
 	st := Stats{BytesIn: srcSize * count, BytesOut: dstSize * count, Elements: count}
 
-	// Homogeneous fast path: identical physical representation, and no
-	// pointer rewriting requested. A single copy, exactly the paper's
-	// memcpy() after the tag string comparison.
-	if srcP.SameABI(dstP) && (ct != platform.CPtr || opt.Ptr == PtrRaw) {
+	if FastPath(dstP, srcP, ct, opt) {
 		st.FastPath = true
 		return append(dst, src[:srcSize*count]...), st, nil
 	}
 
+	// Grown and cleared rather than appended from a make: the compiler
+	// elides that make, but not under -race, where the home would then
+	// allocate once per converted update.
 	base := len(dst)
-	dst = append(dst, make([]byte, dstSize*count)...)
+	dst = slices.Grow(dst, dstSize*count)[:base+dstSize*count]
+	clear(dst[base:])
 	if err := runInto(dst[base:], dstP, src, srcP, ct, count, opt); err != nil {
 		return dst[:base], st, err
 	}
 	return dst, st, nil
+}
+
+// FastPath reports whether ScalarRun would take the homogeneous fast path
+// for ct: identical physical representation, and no pointer rewriting
+// requested — a single copy, exactly the paper's memcpy() after the tag
+// string comparison. A caller that can use the source bytes where they
+// lie skips even that copy.
+func FastPath(dstP, srcP *platform.Platform, ct platform.CType, opt Options) bool {
+	return srcP.SameABI(dstP) && (ct != platform.CPtr || opt.Ptr == PtrRaw)
 }
 
 // runInto converts count elements of ct into out, which must be exactly

@@ -31,7 +31,6 @@ import (
 	"hetdsm/internal/flight"
 	"hetdsm/internal/telemetry"
 	"hetdsm/internal/trace"
-	"hetdsm/internal/vmem"
 	"hetdsm/internal/wire"
 )
 
@@ -53,8 +52,6 @@ type Options struct {
 	// elements, letting large arrays be transferred and converted "as a
 	// whole" (paper Section 4). Zero disables widening.
 	WholeArrayThreshold float64
-	// Diff selects the twin comparison granularity.
-	Diff vmem.DiffGranularity
 	// Trace, when non-nil, records protocol events into the ring buffer
 	// for debugging; nil disables tracing.
 	Trace *trace.Log
@@ -170,13 +167,12 @@ func (p Protocol) String() string {
 }
 
 // DefaultOptions returns the configuration the paper describes: coalescing
-// on, whole-array transfers on at half coverage, byte-granular diffs.
+// on, whole-array transfers on at half coverage.
 func DefaultOptions() Options {
 	return Options{
 		Base:                DefaultBase,
 		Coalesce:            true,
 		WholeArrayThreshold: 0.5,
-		Diff:                vmem.DiffByte,
 	}
 }
 

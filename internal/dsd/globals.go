@@ -123,26 +123,28 @@ func (v *Var) ensureRead(first, count int) error {
 	return v.g.ensure(v.e.Index, first, count)
 }
 
-// noteWrite marks [first, first+count) locally authoritative.
-func (v *Var) noteWrite(first, count int) {
+// store marks elements [first, first+count) locally authoritative, takes
+// their write traps, and returns their bytes in the replica for the caller
+// to encode into: a store writes the replica once, with no staging buffer.
+// The range must already be bounds-checked.
+func (v *Var) store(first, count int) ([]byte, error) {
 	if v.g.wrote != nil {
 		v.g.wrote(v.e.Index, first, count)
 	}
+	return v.g.seg.WriteView(v.e.Offset+first*v.e.ElemSize, count*v.e.ElemSize)
 }
 
 // SetInt stores a signed integer into element i in the platform's native
 // representation (size and byte order), trapping write detection.
 func (v *Var) SetInt(i int, x int64) error {
-	off, err := v.offsetOf(i)
+	if _, err := v.offsetOf(i); err != nil {
+		return err
+	}
+	buf, err := v.store(i, 1)
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, v.e.ElemSize)
 	v.g.plat.PutInt(buf, v.e.ElemSize, x)
-	v.noteWrite(i, 1)
-	if err := v.g.seg.Write(off, buf); err != nil {
-		return err
-	}
 	if v.g.rec != nil {
 		// Record the canonical stored value — what a load returns after the
 		// element's size truncation — not the caller's argument, so a
@@ -184,14 +186,11 @@ func (v *Var) SetInts(first int, xs []int64) error {
 	if _, err := v.offsetOf(first + len(xs) - 1); err != nil {
 		return err
 	}
-	buf := make([]byte, len(xs)*v.e.ElemSize)
-	for i, x := range xs {
-		v.g.plat.PutInt(buf[i*v.e.ElemSize:], v.e.ElemSize, x)
-	}
-	v.noteWrite(first, len(xs))
-	if err := v.g.seg.Write(v.e.Offset+first*v.e.ElemSize, buf); err != nil {
+	buf, err := v.store(first, len(xs))
+	if err != nil {
 		return err
 	}
+	v.g.plat.PutInts(buf, v.e.ElemSize, xs)
 	if v.g.rec != nil {
 		for i := range xs {
 			v.g.rec.Write(v.g.rank, v.e.Name, first+i, v.g.plat.Int(buf[i*v.e.ElemSize:], v.e.ElemSize))
@@ -235,14 +234,15 @@ func (v *Var) Ints(first, count int) ([]int64, error) {
 // unsigned element stores the two's-complement bits, which read back
 // sign-extended through Int.
 func (v *Var) SetUint(i int, x uint64) error {
-	off, err := v.offsetOf(i)
+	if _, err := v.offsetOf(i); err != nil {
+		return err
+	}
+	buf, err := v.store(i, 1)
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, v.e.ElemSize)
 	v.g.plat.PutUint(buf, v.e.ElemSize, x)
-	v.noteWrite(i, 1)
-	return v.g.seg.Write(off, buf)
+	return nil
 }
 
 // Uint loads element i as an unsigned integer (zero-extended).
@@ -267,14 +267,15 @@ func (v *Var) SetFloat64(i int, x float64) error {
 	if err := v.requireKind(platform.CDouble); err != nil {
 		return err
 	}
-	off, err := v.offsetOf(i)
+	if _, err := v.offsetOf(i); err != nil {
+		return err
+	}
+	buf, err := v.store(i, 1)
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 8)
 	v.g.plat.PutFloat64(buf, x)
-	v.noteWrite(i, 1)
-	return v.g.seg.Write(off, buf)
+	return nil
 }
 
 // Float64 loads element i as a double.
@@ -310,12 +311,12 @@ func (v *Var) SetFloat64s(first int, xs []float64) error {
 	if _, err := v.offsetOf(first + len(xs) - 1); err != nil {
 		return err
 	}
-	buf := make([]byte, 8*len(xs))
-	for i, x := range xs {
-		v.g.plat.PutFloat64(buf[i*8:], x)
+	buf, err := v.store(first, len(xs))
+	if err != nil {
+		return err
 	}
-	v.noteWrite(first, len(xs))
-	return v.g.seg.Write(v.e.Offset+first*8, buf)
+	v.g.plat.PutFloat64s(buf, xs)
+	return nil
 }
 
 // Float64s loads count consecutive doubles starting at first.
@@ -352,16 +353,14 @@ func (v *Var) SetPtr(i int, addr uint64) error {
 	if !v.e.Pointer {
 		return fmt.Errorf("dsd: %s is not a pointer", v.e.Name)
 	}
-	off, err := v.offsetOf(i)
+	if _, err := v.offsetOf(i); err != nil {
+		return err
+	}
+	buf, err := v.store(i, 1)
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, v.e.ElemSize)
 	v.g.plat.PutUint(buf, v.e.ElemSize, addr)
-	v.noteWrite(i, 1)
-	if err := v.g.seg.Write(off, buf); err != nil {
-		return err
-	}
 	if v.g.rec != nil {
 		// Record the logical target of the canonical stored address (after
 		// the element's size truncation), so the checker compares
@@ -440,14 +439,15 @@ func (v *Var) SetFloat32(i int, x float32) error {
 	if err := v.requireKind(platform.CFloat); err != nil {
 		return err
 	}
-	off, err := v.offsetOf(i)
+	if _, err := v.offsetOf(i); err != nil {
+		return err
+	}
+	buf, err := v.store(i, 1)
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, 4)
 	v.g.plat.PutFloat32(buf, x)
-	v.noteWrite(i, 1)
-	return v.g.seg.Write(off, buf)
+	return nil
 }
 
 // Float32 loads element i as a C float.

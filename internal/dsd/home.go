@@ -3,6 +3,7 @@ package dsd
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -88,6 +89,8 @@ type Home struct {
 	hm homeMetrics
 	// node labels this home's trace events and spans.
 	node string
+	// tags memoizes grant span tags; guarded by mu.
+	tags tagCache
 
 	lmu       sync.Mutex
 	listeners []transport.Listener
@@ -127,6 +130,29 @@ type peer struct {
 	pendOpen bool
 	pendMark int
 	pendSeq  uint64
+
+	// Scratch the peer's stub goroutine owns and reuses, so a steady-state
+	// release or grant allocates only its encoded frame: ack receives the
+	// grant and sync acks, convs and conv hold a release's converted
+	// updates, others the ranks its spans are queued for, and grant,
+	// grantUps and grantData a materialized grant. translator maps the
+	// peer's pointers to ours.
+	ack        wire.Message
+	convs      []converted
+	conv       []byte
+	others     []int32
+	grant      []indextable.Span
+	grantUps   []wire.Update
+	grantData  []byte
+	translator convert.Translator
+}
+
+// converted is one received update ready for the master: its span and its
+// bytes in the home's representation, either a view into the received
+// frame (same ABI) or into the peer's conversion scratch.
+type converted struct {
+	span indextable.Span
+	data []byte
 }
 
 type lockState struct {
@@ -357,7 +383,7 @@ func (h *Home) importLocked(srcTable *indextable.Table, src []byte, lo, hi int) 
 	h.dirty = true
 	// Rank -1 marks the record as an import, not any thread's release — no
 	// watermark advances.
-	h.repRecord(&wire.Replication{Event: wire.RepUpdate, Rank: -1, Mutex: -1, Updates: ups})
+	h.repRecord(wire.Replication{Event: wire.RepUpdate, Rank: -1, Mutex: -1, Updates: ups})
 	return nil
 }
 
@@ -403,7 +429,10 @@ func (h *Home) ServeConn(c transport.Conn) {
 		h.lmu.Unlock()
 		c.Close()
 	}()
-	first, err := h.recv(c)
+	// One receive buffer serves the whole connection: every handler is
+	// done with a request before the next is decoded into it.
+	var in wire.Message
+	first, err := h.recv(c, &in)
 	if err != nil {
 		return
 	}
@@ -437,7 +466,7 @@ func (h *Home) ServeConn(c transport.Conn) {
 		}()
 	}
 	for {
-		msg, err := h.recv(c)
+		msg, err := h.recv(c, &in)
 		if err != nil {
 			return
 		}
@@ -504,7 +533,7 @@ func (h *Home) servePings(c transport.Conn, first *wire.Message) {
 			return
 		}
 		var err error
-		msg, err = h.recv(c)
+		msg, err = h.recv(c, msg)
 		if err != nil || msg.Kind != wire.KindPing {
 			return
 		}
@@ -734,7 +763,7 @@ func (h *Home) handleLock(c transport.Conn, p *peer, msg *wire.Message) error {
 	// The ack wait is bounded by the requester's own budget: if its
 	// deadline passes, it has already severed the conn and will replay the
 	// lock request — waiting longer only pins the grant state.
-	ack, err := h.recvBudget(c, msg.DeadlineMS)
+	ack, err := h.recvBudget(c, msg.DeadlineMS, &p.ack)
 	if err != nil {
 		if !h.opts.StickyLocks {
 			h.releaseIfHolder(msg.Mutex, p.rank)
@@ -934,7 +963,7 @@ func (h *Home) handleJoin(c transport.Conn, p *peer, msg *wire.Message) error {
 	}
 	if !h.joined[p.rank] {
 		h.joined[p.rank] = true
-		h.repRecord(&wire.Replication{Event: wire.RepJoin, Rank: p.rank, Mutex: -1})
+		h.repRecord(wire.Replication{Event: wire.RepJoin, Rank: p.rank, Mutex: -1})
 		// Close only on the transition: a thread whose JoinAck was lost
 		// in flight replays its join after reconnecting, and a second
 		// close would panic while h.mu is held — hanging every peer.
@@ -967,7 +996,7 @@ func (h *Home) handleSync(c transport.Conn, p *peer, msg *wire.Message) error {
 	}); err != nil {
 		return err
 	}
-	ack, err := h.recvBudget(c, msg.DeadlineMS)
+	ack, err := h.recvBudget(c, msg.DeadlineMS, &p.ack)
 	if err != nil {
 		return err
 	}
@@ -1068,7 +1097,7 @@ func (h *Home) acquire(idx, rank int32) acqResult {
 	if !ls.held {
 		ls.held = true
 		ls.holder = rank
-		h.repRecord(&wire.Replication{Event: wire.RepLock, Rank: rank, Mutex: idx})
+		h.repRecord(wire.Replication{Event: wire.RepLock, Rank: rank, Mutex: idx})
 		h.mu.Unlock()
 		return acqGranted
 	}
@@ -1109,12 +1138,12 @@ func (h *Home) releaseLocked(idx int32) {
 		w := ls.waiters[0]
 		ls.waiters = ls.waiters[1:]
 		ls.holder = w.rank
-		h.repRecord(&wire.Replication{Event: wire.RepLock, Rank: w.rank, Mutex: idx})
+		h.repRecord(wire.Replication{Event: wire.RepLock, Rank: w.rank, Mutex: idx})
 		close(w.ch)
 		return
 	}
 	ls.held = false
-	h.repRecord(&wire.Replication{Event: wire.RepUnlock, Rank: -1, Mutex: idx})
+	h.repRecord(wire.Replication{Event: wire.RepUnlock, Rank: -1, Mutex: idx})
 }
 
 // arrive blocks in barrier idx until all nthreads threads have arrived.
@@ -1142,14 +1171,16 @@ func (h *Home) arrive(idx, rank int32, reqID uint64) (proceed bool, err error) {
 		return false, fmt.Errorf("dsd: barrier %d over-subscribed", idx)
 	}
 	if len(bs.ranks) == h.nthreads {
-		pairs := make([]wire.RepPair, 0, len(bs.ranks))
+		var pairs []wire.RepPair
 		for r, id := range bs.ranks {
 			if id > h.released[r] {
 				h.released[r] = id
 			}
-			pairs = append(pairs, wire.RepPair{Rank: r, Seq: id})
+			if len(h.reps) > 0 {
+				pairs = append(pairs, wire.RepPair{Rank: r, Seq: id})
+			}
 		}
-		h.repRecord(&wire.Replication{Event: wire.RepBarrier, Rank: -1, Mutex: idx, Marks: pairs})
+		h.repRecord(wire.Replication{Event: wire.RepBarrier, Rank: -1, Mutex: idx, Marks: pairs})
 		h.gens++
 		if h.opts.CheckpointEvery > 0 && h.opts.CheckpointSink != nil &&
 			h.gens%uint64(h.opts.CheckpointEvery) == 0 {
@@ -1161,7 +1192,7 @@ func (h *Home) arrive(idx, rank int32, reqID uint64) (proceed bool, err error) {
 				h.opts.CheckpointSink(img, h.gens)
 			}
 		}
-		bs.ranks = make(map[int32]uint64)
+		clear(bs.ranks)
 		bs.gen = make(chan struct{})
 		h.mu.Unlock()
 		h.opts.Trace.Record(h.node, trace.KindBarrierOpen, -1, idx, 0, "")
@@ -1182,7 +1213,11 @@ func (h *Home) releasedMark(rank int32) uint64 {
 
 // applyUpdates converts incoming updates to the home representation
 // (receiver makes right, t_conv), applies them to the master copy, and
-// queues the spans for every other thread.
+// queues the spans for every other thread. An update whose representation
+// is already the home's (convert.FastPath) is written to the master
+// straight from the received frame; the rest convert into the peer's
+// scratch buffer. Neither outlives the request — the sender reuses its
+// frame once answered — so a replicator gets copies.
 func (h *Home) applyUpdates(p *peer, msg *wire.Message) error {
 	if len(msg.Updates) == 0 {
 		return nil
@@ -1190,12 +1225,11 @@ func (h *Home) applyUpdates(p *peer, msg *wire.Message) error {
 	if err := msg.Validate(); err != nil {
 		return err
 	}
-	type converted struct {
-		span indextable.Span
-		data []byte
+	p.convs, p.conv = p.convs[:0], p.conv[:0]
+	if p.translator == nil {
+		p.translator = h.table.Translator(p.table)
 	}
-	convs := make([]converted, 0, len(msg.Updates))
-	copt := convert.Options{Ptr: convert.PtrTranslate, Translator: h.table.Translator(p.table)}
+	copt := convert.Options{Ptr: convert.PtrTranslate, Translator: p.translator}
 
 	start := time.Now()
 	var convBytes int
@@ -1214,15 +1248,22 @@ func (h *Home) applyUpdates(p *peer, msg *wire.Message) error {
 			return fmt.Errorf("dsd: update %s element size %d, want %d on %s",
 				e.Name, srcSize, want, p.plat)
 		}
-		data, _, err := convert.ScalarRun(nil, h.plat, u.Data, p.plat, e.CType, int(u.Count), copt)
-		if err != nil {
-			return err
+		cv := converted{
+			span: indextable.Span{Entry: int(u.Entry), First: int(u.First), Count: int(u.Count)},
+			data: u.Data,
+		}
+		if !convert.FastPath(h.plat, p.plat, e.CType, copt) {
+			// Earlier views stay valid if the append moves p.conv: the old
+			// array keeps the bytes already converted into it.
+			at := len(p.conv)
+			var err error
+			if p.conv, _, err = convert.ScalarRun(p.conv, h.plat, u.Data, p.plat, e.CType, int(u.Count), copt); err != nil {
+				return err
+			}
+			cv.data = p.conv[at:]
 		}
 		convBytes += len(u.Data)
-		convs = append(convs, converted{
-			span: indextable.Span{Entry: int(u.Entry), First: int(u.First), Count: int(u.Count)},
-			data: data,
-		})
+		p.convs = append(p.convs, cv)
 	}
 	convDur := time.Since(start)
 	h.bd.AddBytes(stats.Conv, convDur, convBytes)
@@ -1254,52 +1295,59 @@ func (h *Home) applyUpdates(p *peer, msg *wire.Message) error {
 	// so a partial application can never slip through a stale cache. The
 	// check sits after the replay gate — entries this shard applied while
 	// it owned them stay deduplicated even after they migrate away.
-	for _, cv := range convs {
+	for _, cv := range p.convs {
 		if !h.ownsEntry(cv.span.Entry) {
 			return errNotOwned
 		}
 	}
 	h.dirty = true
-	rep := make([]wire.Update, 0, len(convs))
-	for _, cv := range convs {
+	replicating := len(h.reps) > 0
+	// Every other registered rank gets the spans queued, and so do
+	// handoff-carried ranks that have not re-registered yet: their carried
+	// queue is their exact catch-up, and missing this window would lose
+	// updates.
+	others := p.others[:0]
+	for rank := range h.peers {
+		if rank != p.rank {
+			others = append(others, rank)
+		}
+	}
+	for rank := range h.carried {
+		if _, registered := h.peers[rank]; rank != p.rank && !registered {
+			others = append(others, rank)
+		}
+	}
+	p.others = others
+	var rep []wire.Update
+	for _, cv := range p.convs {
 		if err := h.master.RawWrite(h.table.SpanOffset(cv.span), cv.data); err != nil {
 			return err
 		}
-		rep = append(rep, wire.Update{
-			Entry: int32(cv.span.Entry), First: int32(cv.span.First), Count: int32(cv.span.Count),
-			Data: cv.data,
-		})
-		for rank := range h.peers {
-			if rank == p.rank {
-				continue
-			}
-			h.pending[rank] = append(h.pending[rank], cv.span)
+		if replicating {
+			rep = append(rep, wire.Update{
+				Entry: int32(cv.span.Entry), First: int32(cv.span.First), Count: int32(cv.span.Count),
+				Data: slices.Clone(cv.data),
+			})
 		}
-		// Handoff-carried ranks that have not re-registered yet must
-		// accrue updates too: their carried queue is their exact
-		// catch-up, and missing this window would lose updates.
-		for rank := range h.carried {
-			if rank == p.rank {
-				continue
-			}
-			if _, registered := h.peers[rank]; registered {
-				continue
-			}
+		for _, rank := range others {
 			h.pending[rank] = append(h.pending[rank], cv.span)
 		}
 	}
 	if msg.Seq > h.applied[p.rank] {
 		h.applied[p.rank] = msg.Seq
 	}
-	h.repRecord(&wire.Replication{
-		Event: wire.RepUpdate, Rank: p.rank, Mutex: -1,
-		Updates: rep,
-		Marks:   []wire.RepPair{{Rank: p.rank, Seq: msg.Seq}},
-		// Carry the release's trace context onto the durability tail: the
-		// WAL fsync and standby-replication spans parent to our apply span.
-		TraceID:    msg.TraceID,
-		ParentSpan: telemetry.SpanID(msg.TraceID, h.node, telemetry.StageApply, p.rank),
-	})
+	if replicating {
+		h.repRecord(wire.Replication{
+			Event: wire.RepUpdate, Rank: p.rank, Mutex: -1,
+			Updates: rep,
+			Marks:   []wire.RepPair{{Rank: p.rank, Seq: msg.Seq}},
+			// Carry the release's trace context onto the durability tail:
+			// the WAL fsync and standby-replication spans parent to our
+			// apply span.
+			TraceID:    msg.TraceID,
+			ParentSpan: telemetry.SpanID(msg.TraceID, h.node, telemetry.StageApply, p.rank),
+		})
+	}
 	if h.hm.enabled {
 		h.hm.applies.Inc()
 		h.hm.applyBytes.Observe(float64(convBytes))
@@ -1315,12 +1363,15 @@ func (h *Home) applyUpdates(p *peer, msg *wire.Message) error {
 // draining the queue: coalesce spans, form tags (t_tag), copy master data
 // (t_pack's gather half). The encode half of t_pack is charged in send.
 // Under the invalidate protocol only the spans travel, as data-less
-// records. The returned mark is the raw queue length covered by the peek;
+// records. The updates and their data are the peer's scratch, valid until
+// its next peek — the send that encodes them is their only reader. The
+// returned mark is the raw queue length covered by the peek;
 // commitPending(mark) drains exactly that prefix once delivery is
 // confirmed, so spans appended meanwhile survive and a lost grant or
 // release can be re-materialized for the replayed request.
 func (h *Home) peekPending(p *peer) ([]wire.Update, int) {
 	h.mu.Lock()
+	defer h.mu.Unlock()
 	mark := len(h.pending[p.rank])
 	// Entries that migrated away since their spans were queued must not be
 	// materialized from our master copy — the new owner may have applied
@@ -1328,55 +1379,54 @@ func (h *Home) peekPending(p *peer) ([]wire.Update, int) {
 	// full-entry spans for every rank at transfer time, so dropping the
 	// stale ones here loses nothing. The mark still covers the raw prefix:
 	// the drop happens at materialization, never by editing the queue.
-	kept := make([]indextable.Span, 0, mark)
+	spans := p.grant[:0]
 	for _, s := range h.pending[p.rank] {
 		if h.ownsEntry(s.Entry) {
-			kept = append(kept, s)
+			spans = append(spans, s)
 		}
 	}
-	spans := indextable.MergeSpans(kept)
+	spans = indextable.MergeInPlace(spans)
+	p.grant = spans
 	if len(spans) == 0 {
-		h.mu.Unlock()
 		return nil, mark
 	}
+	updates := p.grantUps[:0]
 	if h.opts.Protocol == ProtocolInvalidate {
-		h.mu.Unlock()
-		updates := make([]wire.Update, len(spans))
-		for i, s := range spans {
-			updates[i] = wire.Update{Entry: int32(s.Entry), First: int32(s.First), Count: int32(s.Count)}
+		for _, s := range spans {
+			updates = append(updates, wire.Update{Entry: int32(s.Entry), First: int32(s.First), Count: int32(s.Count)})
 		}
+		p.grantUps = updates
 		return updates, mark
 	}
-	spans = widenSpans(h.table, spans, h.opts.WholeArrayThreshold)
+	spans = h.table.Widen(spans, h.opts.WholeArrayThreshold)
 
 	tagStart := time.Now()
-	tags := make([]string, len(spans))
-	for i, s := range spans {
-		tags[i] = h.table.SpanTag(s).String()
+	var packBytes int
+	for _, s := range spans {
+		updates = append(updates, wire.Update{
+			Entry: int32(s.Entry),
+			First: int32(s.First),
+			Count: int32(s.Count),
+			Tag:   h.tags.tag(h.table, s),
+		})
+		packBytes += h.table.SpanBytes(s)
 	}
 	h.bd.Add(stats.Tag, time.Since(tagStart))
 
 	packStart := time.Now()
-	updates := make([]wire.Update, len(spans))
-	var packBytes int
+	data := slices.Grow(p.grantData[:0], packBytes)[:packBytes]
+	at := 0
 	for i, s := range spans {
 		n := h.table.SpanBytes(s)
-		buf := make([]byte, n)
-		if _, err := h.master.Read(h.table.SpanOffset(s), n, buf); err != nil {
+		if _, err := h.master.Read(h.table.SpanOffset(s), n, data[at:]); err != nil {
 			// Spans come from our own table; a read failure is a bug.
 			panic(fmt.Sprintf("dsd: master read of own span failed: %v", err))
 		}
-		packBytes += n
-		updates[i] = wire.Update{
-			Entry: int32(s.Entry),
-			First: int32(s.First),
-			Count: int32(s.Count),
-			Tag:   tags[i],
-			Data:  buf,
-		}
+		updates[i].Data = data[at : at+n : at+n]
+		at += n
 	}
 	h.bd.AddBytes(stats.Pack, time.Since(packStart), packBytes)
-	h.mu.Unlock()
+	p.grantUps, p.grantData = updates, data
 	return updates, mark
 }
 
@@ -1385,28 +1435,22 @@ func (h *Home) peekPending(p *peer) ([]wire.Update, int) {
 // delivery is confirmed (lock-ack received, or a later request arrived).
 func (h *Home) commitPending(p *peer, mark int) {
 	h.mu.Lock()
+	// In place: every reader of a queue copies it under h.mu, so the
+	// backing array can be kept for the spans queued next.
 	q := h.pending[p.rank]
-	if mark >= len(q) {
-		h.pending[p.rank] = nil
-	} else {
-		h.pending[p.rank] = append([]indextable.Span(nil), q[mark:]...)
-	}
+	h.pending[p.rank] = q[:copy(q, q[min(mark, len(q)):])]
 	h.mu.Unlock()
 }
 
 // repRecord mirrors one mutation to every attached replicator; caller
-// holds h.mu. Each replicator stamps its own Seq on the record, so all
-// but the last receive a private copy.
-func (h *Home) repRecord(rec *wire.Replication) {
-	if len(h.reps) == 0 {
-		return
-	}
+// holds h.mu. Each replicator stamps its own Seq on the record, so each
+// receives a private copy — and a home without replicators builds none.
+func (h *Home) repRecord(rec wire.Replication) {
 	rec.Epoch = h.epoch
-	for _, r := range h.reps[:len(h.reps)-1] {
-		cp := *rec
+	for _, r := range h.reps {
+		cp := rec
 		r.Record(&cp)
 	}
-	h.reps[len(h.reps)-1].Record(rec)
 }
 
 // repFlush blocks until every mutation recorded so far is durable at each
@@ -1435,26 +1479,6 @@ func (h *Home) StartReplication(r Replicator) error {
 	h.reps = append(h.reps, r)
 	r.Record(&wire.Replication{Event: wire.RepInit, Rank: -1, Mutex: -1, Epoch: h.epoch, Home: img})
 	return nil
-}
-
-// widenSpans applies the whole-array transfer rule: a span covering at
-// least threshold of its entry grows to the full entry.
-func widenSpans(t *indextable.Table, spans []indextable.Span, threshold float64) []indextable.Span {
-	if threshold <= 0 {
-		return spans
-	}
-	widened := false
-	for i, s := range spans {
-		e := t.Entry(s.Entry)
-		if e.Count > 1 && float64(s.Count) >= threshold*float64(e.Count) && s.Count < e.Count {
-			spans[i] = indextable.Span{Entry: s.Entry, First: 0, Count: e.Count}
-			widened = true
-		}
-	}
-	if widened {
-		return indextable.MergeSpans(spans)
-	}
-	return spans
 }
 
 // send encodes (t_pack) and transmits a message, stamping the home's
@@ -1510,15 +1534,16 @@ func (h *Home) QueueStats() []QueueStat {
 // on a requester's stamped deadline budget (0 with the plane unused).
 func (h *Home) DeadlineExceeded() uint64 { return h.deadlineHits.Load() }
 
-// recv receives and decodes (t_unpack) a message. Update-bearing
-// requests get an unpack span against their (rank, seq) release id —
-// the home-side continuation of the sender's index/tag/pack/ship spans.
-func (h *Home) recv(c transport.Conn) (*wire.Message, error) {
+// recv receives and decodes (t_unpack) a message into m, the caller's
+// receive buffer, and returns m. Update-bearing requests get an unpack
+// span against their (rank, seq) release id — the home-side continuation
+// of the sender's index/tag/pack/ship spans.
+func (h *Home) recv(c transport.Conn, m *wire.Message) (*wire.Message, error) {
 	frame, err := c.RecvFrame()
 	if err != nil {
 		return nil, err
 	}
-	return h.decode(frame)
+	return h.decode(frame, m)
 }
 
 // recvBudget receives like recv but bounds the wait by the peer-supplied
@@ -1527,9 +1552,9 @@ func (h *Home) recv(c transport.Conn) (*wire.Message, error) {
 // home-side state (a granted lock, an undrained pending queue) for the
 // whole TCP timeout. Zero budget means the peer runs undeadlined — wait
 // indefinitely, the seed behavior.
-func (h *Home) recvBudget(c transport.Conn, budgetMS uint32) (*wire.Message, error) {
+func (h *Home) recvBudget(c transport.Conn, budgetMS uint32, m *wire.Message) (*wire.Message, error) {
 	if budgetMS == 0 {
-		return h.recv(c)
+		return h.recv(c, m)
 	}
 	frame, err := transport.RecvFrameDeadline(c, time.Now().Add(time.Duration(budgetMS)*time.Millisecond))
 	if err != nil {
@@ -1539,16 +1564,15 @@ func (h *Home) recvBudget(c transport.Conn, budgetMS uint32) (*wire.Message, err
 		}
 		return nil, err
 	}
-	return h.decode(frame)
+	return h.decode(frame, m)
 }
 
-// decode is recv's second half: unpack a received frame and record its
-// telemetry.
-func (h *Home) decode(frame []byte) (*wire.Message, error) {
+// decode is recv's second half: unpack a received frame into m and record
+// its telemetry.
+func (h *Home) decode(frame []byte, m *wire.Message) (*wire.Message, error) {
 	h.hm.frameRecv.Observe(float64(len(frame)))
 	start := time.Now()
-	m, err := wire.Decode(frame)
-	if err != nil {
+	if err := wire.DecodeInto(m, frame); err != nil {
 		return nil, err
 	}
 	unpackDur := time.Since(start)

@@ -45,9 +45,6 @@ func runRandomWorkload(t *testing.T, seed int64) {
 		opts.WholeArrayThreshold = 0
 	}
 	if r.Intn(2) == 0 {
-		opts.Diff = 1 // word-wise
-	}
-	if r.Intn(2) == 0 {
 		opts.Protocol = ProtocolInvalidate
 	}
 

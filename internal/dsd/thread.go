@@ -56,16 +56,27 @@ type Thread struct {
 	// invalidate protocol; reads overlapping them fetch from the home.
 	invalid []indextable.Span
 	// pending tracks element spans written locally since the last release
-	// point. A local write is authoritative until its release ships it, so
-	// incoming updates (lock grants, barrier releases, fetch replies — in
-	// particular a home's conservative catch-up after a reconnect or an
-	// entry re-homing) must never overwrite these spans: doing so would
-	// silently lose the write, because applying remote data also rewrites
-	// the twin and erases the diff.
+	// point, sorted and merged (each store is one InsertSpan). A local
+	// write is authoritative until its release ships it, so incoming
+	// updates (lock grants, barrier releases, fetch replies — in particular
+	// a home's conservative catch-up after a reconnect or an entry
+	// re-homing) must never overwrite these spans: doing so would silently
+	// lose the write, because applying remote data also rewrites the twin
+	// and erases the diff.
 	pending []indextable.Span
-	// heatPrev holds the per-page fault totals already reported to the
-	// home, so each release piggybacks only the window's delta.
-	heatPrev map[int]uint64
+
+	// Buffers the thread owns and reuses across releases, so the steady
+	// state allocates no scratch: the release scan's spans, the updates
+	// built over them (views into the replica, valid until rearm), the
+	// heat samples, the receive message, conversion output, and the gaps
+	// an incoming update is applied through.
+	spans   []indextable.Span
+	updates []wire.Update
+	heat    []wire.HeatSample
+	in      wire.Message
+	conv    []byte
+	frags   []indextable.Span
+	tags    tagCache
 
 	// nw and addr are set by Dial-created threads and enable transparent
 	// home-handoff redirect following; Connect-created threads (raw
@@ -77,6 +88,9 @@ type Thread struct {
 	// wrapper whose OnConnect re-registers with whichever home answers,
 	// and call retries requests across connection failures.
 	rc *transport.Reconn
+	// frames recycles the encode buffers of sent frames; nil on HA
+	// threads, which encode every frame afresh (see frameBufs).
+	frames *frameBufs
 
 	// deadline is the current attempt's expiry, armed at the top of each
 	// call attempt when Options.OpTimeout is set; zero means unbounded.
@@ -122,6 +136,7 @@ func Connect(conn transport.Conn, p *platform.Platform, rank int32, gthv tag.Str
 		table:  table,
 		seg:    seg,
 		tm:     newThreadMetrics(opts.Metrics),
+		frames: new(frameBufs),
 	}
 	t.initDeadlinePlane()
 	t.globals = newGlobals(p, table, seg)
@@ -203,7 +218,7 @@ func (t *Thread) Protocol() Protocol { return t.proto }
 // marking: the local write is authoritative until the next release point.
 func (t *Thread) noteLocalWrite(entry, first, count int) {
 	sp := indextable.Span{Entry: entry, First: first, Count: count}
-	t.pending = indextable.MergeSpans(append(t.pending, sp))
+	t.pending = indextable.InsertSpan(t.pending, sp)
 	if len(t.invalid) == 0 {
 		return
 	}
@@ -682,81 +697,69 @@ func (t *Thread) rearm() {
 	t.pending = t.pending[:0]
 }
 
-// heatDelta snapshots the page-fault counters accrued since the last
-// release message as piggyback samples for the home's heat sink. Shipping
-// deltas (not cumulative totals) lets the sink accumulate across releases
-// without per-thread bookkeeping; a replayed release re-delivers its
-// samples, a harmless overcount for an advisory signal. Returns nil when
-// nothing new trapped, costing the message no bytes.
+// heatDelta returns the page-fault counts accrued since the last release
+// message — the pages that trapped since then — as piggyback samples for
+// the home's heat sink. Shipping deltas (not cumulative totals) lets the
+// sink accumulate across releases without per-thread bookkeeping; a
+// replayed release re-delivers its samples, a harmless overcount for an
+// advisory signal. Returns nil when nothing new trapped, costing the
+// message no bytes. The slice is the thread's own, valid until the next
+// release.
 func (t *Thread) heatDelta() []wire.HeatSample {
-	r := t.seg.Heat()
-	var out []wire.HeatSample
-	for _, p := range r.Pages {
-		prev := t.heatPrev[p.Page]
-		if p.Faults <= prev {
-			continue
-		}
-		if t.heatPrev == nil {
-			t.heatPrev = make(map[int]uint64)
-		}
-		t.heatPrev[p.Page] = p.Faults
-		out = append(out, wire.HeatSample{Page: int32(p.Page), Faults: uint32(p.Faults - prev)})
+	t.heat = t.heat[:0]
+	t.seg.TakeFaults(func(page int, faults uint64) {
+		t.heat = append(t.heat, wire.HeatSample{Page: int32(page), Faults: uint32(faults)})
+	})
+	if len(t.heat) == 0 {
+		return nil
 	}
-	return out
+	return t.heat
 }
 
-// collectUpdates runs the release-side pipeline: twin/diff plus index
-// mapping (t_index), tag formation (t_tag), and data gathering (the copy
-// half of t_pack; the encode half is charged in send). The returned
-// relStages reuses the stage clocks the Eq. 1 stats already require, so
-// span recording costs nothing extra here.
+// collectUpdates runs the release-side pipeline: the fused twin scan and
+// index mapping (t_index), tag formation (t_tag), and the updates over the
+// replica (t_pack; their bytes are copied once, by the encode in send).
+// The updates and their Data are the thread's own buffers and views into
+// the replica, valid until rearm. The returned relStages reuses the stage
+// clocks the Eq. 1 stats already require, so span recording costs nothing
+// extra here.
 func (t *Thread) collectUpdates() ([]wire.Update, relStages) {
 	var st relStages
 	st.indexStart = time.Now()
-	ranges := t.seg.Diff(t.opts.Diff)
-	var spans []indextable.Span
-	if t.opts.Coalesce {
-		spans = t.table.MapRanges(ranges)
-	} else {
-		spans = t.table.MapRangesNoCoalesce(ranges)
-	}
-	spans = widenSpans(t.table, spans, t.opts.WholeArrayThreshold)
+	t.spans = t.table.ReleaseSpans(t.spans, t.seg, t.opts.Coalesce, t.opts.WholeArrayThreshold)
 	st.indexDur = time.Since(st.indexStart)
 	t.bd.Add(stats.Index, st.indexDur)
-	if len(spans) == 0 {
+	if len(t.spans) == 0 {
 		return nil, st
 	}
 
 	st.tagStart = time.Now()
-	tags := make([]string, len(spans))
-	for i, s := range spans {
-		tags[i] = t.table.SpanTag(s).String()
+	t.updates = t.updates[:0]
+	for _, s := range t.spans {
+		t.updates = append(t.updates, wire.Update{
+			Entry: int32(s.Entry),
+			First: int32(s.First),
+			Count: int32(s.Count),
+			Tag:   t.tags.tag(t.table, s),
+		})
 	}
 	st.tagDur = time.Since(st.tagStart)
 	t.bd.Add(stats.Tag, st.tagDur)
 
 	st.packStart = time.Now()
-	updates := make([]wire.Update, len(spans))
 	var packBytes int
-	for i, s := range spans {
-		n := t.table.SpanBytes(s)
-		buf := make([]byte, n)
-		if _, err := t.seg.Read(t.table.SpanOffset(s), n, buf); err != nil {
-			panic(fmt.Sprintf("dsd: replica read of own span failed: %v", err))
+	for i, s := range t.spans {
+		data, err := t.seg.View(t.table.SpanOffset(s), t.table.SpanBytes(s))
+		if err != nil {
+			panic(fmt.Sprintf("dsd: replica view of own span failed: %v", err))
 		}
-		packBytes += n
-		updates[i] = wire.Update{
-			Entry: int32(s.Entry),
-			First: int32(s.First),
-			Count: int32(s.Count),
-			Tag:   tags[i],
-			Data:  buf,
-		}
+		packBytes += len(data)
+		t.updates[i].Data = data
 	}
 	st.packDur = time.Since(st.packStart)
 	st.bytes = packBytes
 	t.bd.AddBytes(stats.Pack, st.packDur, packBytes)
-	return updates, st
+	return t.updates, st
 }
 
 // applyIncoming converts a grant's or release's updates to the local
@@ -789,33 +792,31 @@ func (t *Thread) applyIncoming(msg *wire.Message) error {
 			return fmt.Errorf("dsd: update %s[%d..%d) exceeds %d elements",
 				e.Name, u.First, int(u.First)+int(u.Count), e.Count)
 		}
+		span := indextable.Span{Entry: int(u.Entry), First: int(u.First), Count: int(u.Count)}
 		if len(u.Data) == 0 {
 			// Invalidation record (invalidate protocol): mark stale.
-			t.invalid = indextable.MergeSpans(append(t.invalid,
-				indextable.Span{Entry: int(u.Entry), First: int(u.First), Count: int(u.Count)}))
+			t.invalid = indextable.InsertSpan(t.invalid, span)
 			continue
 		}
 		if srcSize := len(u.Data) / int(u.Count); srcSize != srcP.CSizeOf(e.CType) {
 			return fmt.Errorf("dsd: update %s element size %d, want %d on %s",
 				e.Name, srcSize, srcP.CSizeOf(e.CType), srcP)
 		}
-		data, _, err := convert.ScalarRun(nil, t.plat, u.Data, srcP, e.CType, int(u.Count), copt)
-		if err != nil {
-			return err
+		data := u.Data
+		if !convert.FastPath(t.plat, srcP, e.CType, copt) {
+			var err error
+			if t.conv, _, err = convert.ScalarRun(t.conv[:0], t.plat, u.Data, srcP, e.CType, int(u.Count), copt); err != nil {
+				return err
+			}
+			data = t.conv
 		}
 		convBytes += len(u.Data)
 		// Apply around the pending set: a span written locally since the
 		// last release is authoritative here (exactly as the RC model keeps
 		// dirty cells through an acquire's refresh), and a conservative
 		// catch-up grant after a reconnect or re-homing must not erase it.
-		frags := []indextable.Span{{Entry: int(u.Entry), First: int(u.First), Count: int(u.Count)}}
-		for _, d := range t.pending {
-			frags = indextable.SubtractSpan(frags, d)
-			if len(frags) == 0 {
-				break
-			}
-		}
-		for _, f := range frags {
+		t.frags = indextable.AppendGaps(t.frags[:0], t.pending, span)
+		for _, f := range t.frags {
 			off := e.Offset + f.First*e.ElemSize
 			b := data[(f.First-int(u.First))*e.ElemSize : (f.First-int(u.First)+f.Count)*e.ElemSize]
 			if err := t.seg.ApplyRemote(off, b); err != nil {
@@ -824,7 +825,9 @@ func (t *Thread) applyIncoming(msg *wire.Message) error {
 		}
 	}
 	t.bd.AddBytes(stats.Conv, time.Since(start), convBytes)
-	t.opts.Trace.Record(t.traceName(), trace.KindApply, t.rank, -1, convBytes, "from "+srcP.Name)
+	if t.opts.Trace != nil {
+		t.opts.Trace.Record(t.traceName(), trace.KindApply, t.rank, -1, convBytes, "from "+srcP.Name)
+	}
 	return nil
 }
 
@@ -867,13 +870,76 @@ func (t *Thread) sendOn(c transport.Conn, m *wire.Message) error {
 		}
 	}
 	start := time.Now()
-	frame, err := wire.Encode(m)
+	frame, err := t.frames.encode(m)
 	if err != nil {
 		return err
 	}
 	t.bd.Add(stats.Pack, time.Since(start))
 	t.tm.frameSent.Observe(float64(len(frame)))
-	return transport.SendFrameDeadline(c, frame, t.deadline)
+	if err := transport.SendFrameDeadline(c, frame, t.deadline); err != nil {
+		t.frames.abandon()
+		return err
+	}
+	return nil
+}
+
+// frameBufs recycles the encode buffers of the frames a thread sends.
+// Once a reply arrives, the home is done with every frame sent before it:
+// a stub serves its conn one request at a time, answers only after
+// handling the request, and keeps no view of it past that (a replicator
+// gets copies). So a reply frees those buffers for the next encodes, and a
+// steady-state release copies its payload into a buffer an earlier release
+// used instead of allocating a frame the size of the payload. After a failed
+// send or receive a stub may still be reading, so those buffers are
+// abandoned, never reused. HA threads get none: their conn redials inside
+// a send, onto a home while the old stub may still read the last frame.
+// A nil *frameBufs encodes every frame afresh.
+type frameBufs struct {
+	free, sent [][]byte
+}
+
+// encode encodes m into a free buffer, which stays the receiver's until
+// answered.
+func (f *frameBufs) encode(m *wire.Message) ([]byte, error) {
+	if f == nil {
+		return wire.Encode(m)
+	}
+	frame, err := wire.AppendEncode(f.take(), m)
+	if err == nil {
+		f.sent = append(f.sent, frame)
+	}
+	return frame, err
+}
+
+// take removes a free buffer, nil if none is free. Buffers only grow, so
+// after the first few releases every one fits the largest frame.
+func (f *frameBufs) take() []byte {
+	n := len(f.free)
+	if n == 0 {
+		return nil
+	}
+	buf := f.free[n-1]
+	f.free[n-1] = nil
+	f.free = f.free[:n-1]
+	return buf
+}
+
+// answered frees every frame sent so far: a reply has arrived.
+func (f *frameBufs) answered() {
+	if f == nil {
+		return
+	}
+	f.free = append(f.free, f.sent...)
+	f.abandon()
+}
+
+// abandon forgets the frames sent so far without reusing them.
+func (f *frameBufs) abandon() {
+	if f == nil {
+		return
+	}
+	clear(f.sent)
+	f.sent = f.sent[:0]
 }
 
 // recvAny receives and decodes (t_unpack) the next message.
@@ -881,16 +947,20 @@ func (t *Thread) recvAny() (*wire.Message, error) {
 	return t.recvOn(t.conn)
 }
 
-// recvOn is recvAny over an explicit connection (see handshakeOn).
+// recvOn is recvAny over an explicit connection (see handshakeOn). The
+// message is the thread's own receive buffer, valid until the next receive;
+// every caller is done with a reply before it receives again.
 func (t *Thread) recvOn(c transport.Conn) (*wire.Message, error) {
 	frame, err := transport.RecvFrameDeadline(c, t.deadline)
 	if err != nil {
+		t.frames.abandon()
 		return nil, err
 	}
+	t.frames.answered()
 	t.tm.frameRecv.Observe(float64(len(frame)))
 	start := time.Now()
-	m, err := wire.Decode(frame)
-	if err != nil {
+	m := &t.in
+	if err := wire.DecodeInto(m, frame); err != nil {
 		return nil, err
 	}
 	t.bd.AddBytes(stats.Unpack, time.Since(start), wire.UpdateBytes(m.Updates))

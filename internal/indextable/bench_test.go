@@ -81,3 +81,35 @@ func BenchmarkMergeSpans(b *testing.B) {
 		}
 	}
 }
+
+// benchRelease times the fused release scan against the oracle pipeline it
+// replaced, over bench/'s release shapes: int A[262144] (1 MiB) with every
+// element's low byte bumped (dense) or every 256th element (sparse).
+func benchRelease(b *testing.B, stride int, fused bool) {
+	shape := tag.Struct{Name: "GThV_t", Fields: []tag.Field{{Name: "A", T: tag.IntArray(262144)}}}
+	tb := MustBuild(tag.MustLayout(shape, platform.LinuxX86), 0x40058000)
+	seg := vmem.MustSegment(0x40058000, tb.Size(), 4096)
+	seg.ProtectAll()
+	v, _ := seg.WriteView(0, tb.Size())
+	for i := 0; i < len(v); i += 4 * stride {
+		v[i]++
+	}
+	b.SetBytes(int64(seg.TwinBytes()))
+	var buf []Span
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if fused {
+			buf = tb.ReleaseSpans(buf, seg, true, 0.5)
+		} else {
+			buf = widenSpans(tb, tb.MapRanges(seg.Diff(vmem.DiffByte)), 0.5)
+		}
+		if len(buf) == 0 {
+			b.Fatal("no spans")
+		}
+	}
+}
+
+func BenchmarkReleaseSpansDense(b *testing.B)  { benchRelease(b, 1, true) }
+func BenchmarkReleaseSpansSparse(b *testing.B) { benchRelease(b, 256, true) }
+func BenchmarkOracleSpansDense(b *testing.B)   { benchRelease(b, 1, false) }
+func BenchmarkOracleSpansSparse(b *testing.B)  { benchRelease(b, 256, false) }

@@ -355,31 +355,9 @@ func (t *Table) nextEntryStart(off, limit int) int {
 // or adjacent runs within the same entry. The home node uses this to keep
 // per-thread pending-update queues compact across many unlocks.
 func MergeSpans(spans []Span) []Span {
-	if len(spans) <= 1 {
-		out := make([]Span, len(spans))
-		copy(out, spans)
-		return out
-	}
-	sorted := make([]Span, len(spans))
-	copy(sorted, spans)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Entry != sorted[j].Entry {
-			return sorted[i].Entry < sorted[j].Entry
-		}
-		return sorted[i].First < sorted[j].First
-	})
-	out := sorted[:1]
-	for _, s := range sorted[1:] {
-		last := &out[len(out)-1]
-		if s.Entry == last.Entry && s.First <= last.First+last.Count {
-			if end := s.First + s.Count; end > last.First+last.Count {
-				last.Count = end - last.First
-			}
-			continue
-		}
-		out = append(out, s)
-	}
-	return out
+	out := make([]Span, len(spans))
+	copy(out, spans)
+	return MergeInPlace(out)
 }
 
 // IntersectSpans returns the parts of spans that overlap s, merged.

@@ -61,6 +61,49 @@ func (p *Platform) Int(b []byte, size int) int64 {
 	return int64(u<<shift) >> shift
 }
 
+// PutInts writes xs as consecutive size-byte signed integers: PutInt over a
+// run, with the byte order and width resolved once rather than per element.
+func (p *Platform) PutInts(b []byte, size int, xs []int64) {
+	b = b[:size*len(xs)]
+	switch {
+	case size == 4 && p.Order == Little:
+		for i, x := range xs {
+			binary.LittleEndian.PutUint32(b[4*i:], uint32(x))
+		}
+	case size == 4:
+		for i, x := range xs {
+			binary.BigEndian.PutUint32(b[4*i:], uint32(x))
+		}
+	case size == 8 && p.Order == Little:
+		for i, x := range xs {
+			binary.LittleEndian.PutUint64(b[8*i:], uint64(x))
+		}
+	case size == 8:
+		for i, x := range xs {
+			binary.BigEndian.PutUint64(b[8*i:], uint64(x))
+		}
+	default:
+		for i, x := range xs {
+			p.PutInt(b[size*i:], size, x)
+		}
+	}
+}
+
+// PutFloat64s writes xs as consecutive IEEE-754 doubles in the platform's
+// byte order, resolved once for the run.
+func (p *Platform) PutFloat64s(b []byte, xs []float64) {
+	b = b[:8*len(xs)]
+	if p.Order == Little {
+		for i, x := range xs {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(x))
+		}
+		return
+	}
+	for i, x := range xs {
+		binary.BigEndian.PutUint64(b[8*i:], math.Float64bits(x))
+	}
+}
+
 // PutFloat32 writes an IEEE-754 single in the platform's byte order.
 func (p *Platform) PutFloat32(b []byte, v float32) {
 	p.byteOrder().PutUint32(b, math.Float32bits(v))

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
@@ -263,6 +264,35 @@ func TestQuickFloat64BitsRoundTrip(t *testing.T) {
 		}
 		if err := quick.Check(f, nil); err != nil {
 			t.Errorf("%s: %v", p, err)
+		}
+	}
+}
+
+// TestBulkPutsMatchScalarPuts: PutInts and PutFloat64s are PutInt and
+// PutFloat64 over a run, on both byte orders and every width.
+func TestBulkPutsMatchScalarPuts(t *testing.T) {
+	ints := []int64{0, 1, -1, 0x7f, -0x80, 0x1234_5678, -0x1234_5678_9abc, math.MaxInt64, math.MinInt64}
+	floats := []float64{0, -0.0, 1.5, math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64}
+	for _, p := range All() {
+		for _, size := range []int{1, 2, 4, 8} {
+			got := make([]byte, size*len(ints))
+			want := make([]byte, len(got))
+			p.PutInts(got, size, ints)
+			for i, x := range ints {
+				p.PutInt(want[size*i:], size, x)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s PutInts size %d = %x, want %x", p, size, got, want)
+			}
+		}
+		got := make([]byte, 8*len(floats))
+		want := make([]byte, len(got))
+		p.PutFloat64s(got, floats)
+		for i, x := range floats {
+			p.PutFloat64(want[8*i:], x)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s PutFloat64s = %x, want %x", p, got, want)
 		}
 	}
 }

@@ -53,9 +53,7 @@ func benchDiff(b *testing.B, g DiffGranularity, dirtyBytes int) {
 }
 
 func BenchmarkDiffByteSparse(b *testing.B) { benchDiff(b, DiffByte, 64*1024) }
-func BenchmarkDiffWordSparse(b *testing.B) { benchDiff(b, DiffWord, 64*1024) }
 func BenchmarkDiffByteDense(b *testing.B)  { benchDiff(b, DiffByte, 1<<20) }
-func BenchmarkDiffWordDense(b *testing.B)  { benchDiff(b, DiffWord, 1<<20) }
 
 func BenchmarkProtectAll(b *testing.B) {
 	s := MustSegment(0, 1<<22, 4096)

@@ -3,17 +3,19 @@ package vmem
 import "sort"
 
 // PageHeat is one page's cumulative write-detection activity: how often
-// it trapped, how many diff runs its twin comparisons produced, and how
-// many bytes those runs covered. The counters identify hot pages — and,
-// via the run-size shape, probable false sharing.
+// it trapped, how many runs of changed elements the release scans found on
+// it, and how many bytes those elements cover. The counters identify hot
+// pages — and, via the run-size shape, probable false sharing. Runs are
+// counted in elements, not bytes: a counter array whose every element
+// changes only its low byte is one solid run, not one run per element.
 type PageHeat struct {
 	// Page is the page index within the segment.
 	Page int `json:"page"`
 	// Faults is the number of write traps the page took.
 	Faults uint64 `json:"faults"`
-	// DiffRuns is the number of modified-byte runs its diffs produced.
+	// DiffRuns is the number of changed-element runs its scans found.
 	DiffRuns uint64 `json:"diff_runs"`
-	// DiffBytes is the total modified bytes its diffs found.
+	// DiffBytes is the total bytes of the changed elements, on this page.
 	DiffBytes uint64 `json:"diff_bytes"`
 	// FalseSharingSuspect marks a fragmented-write page: repeatedly
 	// trapped, diffed into several distinct runs per window on average,
@@ -48,6 +50,25 @@ func falseSharingSuspect(h PageHeat, pageSize int) bool {
 	}
 	avgRun := float64(h.DiffBytes) / float64(h.DiffRuns)
 	return avgRun < float64(pageSize)/8
+}
+
+// NoteDiff adds one release scan's findings on page to its heat counters:
+// runs of consecutive changed elements and the bytes they cover there.
+func (s *Segment) NoteDiff(page, runs, bytes int) {
+	s.heatDiffRuns[page] += uint64(runs)
+	s.heatDiffBytes[page] += uint64(bytes)
+}
+
+// TakeFaults calls f once for every page that trapped since the previous
+// TakeFaults, in first-trap order, with the number of traps it took, and
+// starts a new window. A release piggybacks exactly these deltas, so an
+// empty release costs nothing here however much of the segment is hot.
+func (s *Segment) TakeFaults(f func(page int, faults uint64)) {
+	for _, p := range s.touched {
+		f(p, s.heatFaults[p]-s.shipped[p])
+		s.shipped[p] = s.heatFaults[p]
+	}
+	s.touched = s.touched[:0]
 }
 
 // sortHeat orders hottest-first.

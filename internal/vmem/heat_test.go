@@ -8,7 +8,9 @@ import (
 )
 
 // writeRound protects, writes, diffs and drops twins — one release
-// window, the way the DSD layer drives a segment.
+// window, the way the DSD layer drives a segment. The byte runs of each
+// page's diff stand in for the release scan's element runs (byte-sized
+// elements).
 func writeRound(t *testing.T, s *Segment, writes map[int][]byte) {
 	t.Helper()
 	s.ProtectAll()
@@ -18,7 +20,12 @@ func writeRound(t *testing.T, s *Segment, writes map[int][]byte) {
 		}
 	}
 	for _, p := range s.DirtyPages() {
-		s.DiffPage(p, DiffByte)
+		rs := s.DiffPage(p, DiffByte)
+		n := 0
+		for _, r := range rs {
+			n += r.Len()
+		}
+		s.NoteDiff(p, len(rs), n)
 	}
 	s.DropTwins()
 }

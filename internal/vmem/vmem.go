@@ -13,7 +13,7 @@ package vmem
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // FaultFunc observes write traps; the DSD layer uses it for accounting.
@@ -28,19 +28,36 @@ type Segment struct {
 	pageSize int
 	data     []byte
 	prot     []bool
-	twins    [][]byte
 	onFault  FaultFunc
 	faults   uint64
 
+	// twin is the twin arena, laid out parallel to data: page p's twin is
+	// twin[p*pageSize:(p+1)*pageSize], meaningful while twinned[p]. It is
+	// allocated at the first trap and reused for the segment's lifetime, so
+	// a trap copies a page but allocates nothing.
+	twin    []byte
+	twinned []bool
+	// dirty lists the twinned pages in ascending order: the pages written
+	// since the last ProtectAll. ProtectAll, DirtyPages and the release
+	// scan touch only these.
+	dirty []int
+	// open marks pages left writable without a twin (a fresh segment,
+	// UnprotectAll, DropTwins); only then must ProtectAll sweep every page.
+	open bool
+
 	// Per-page heat accounting, cumulative since creation: write traps
-	// taken, diff runs produced and diff bytes found on each page. A page
-	// with many faults and many small diff runs is a false-sharing
-	// suspect — distinct objects on one page ping-ponging the twin/diff
-	// machinery.
+	// taken, changed-element runs and bytes the release scan found on each
+	// page (NoteDiff). A page with many faults and many small runs is a
+	// false-sharing suspect — distinct objects on one page ping-ponging the
+	// twin/diff machinery.
 	heatFaults    []uint64
 	heatDiffRuns  []uint64
 	heatDiffBytes []uint64
 	twinsMade     uint64
+	// shipped holds each page's fault count as of the last TakeFaults, and
+	// touched the pages that trapped since then, in trap order.
+	shipped []uint64
+	touched []int
 }
 
 // NewSegment creates a segment of the given size at virtual address base
@@ -62,10 +79,12 @@ func NewSegment(base uint64, size, pageSize int) (*Segment, error) {
 		pageSize:      pageSize,
 		data:          make([]byte, pages*pageSize),
 		prot:          make([]bool, pages),
-		twins:         make([][]byte, pages),
+		twinned:       make([]bool, pages),
+		open:          true,
 		heatFaults:    make([]uint64, pages),
 		heatDiffRuns:  make([]uint64, pages),
 		heatDiffBytes: make([]uint64, pages),
+		shipped:       make([]uint64, pages),
 	}, nil
 }
 
@@ -117,12 +136,20 @@ func (s *Segment) Offset(addr uint64) (int, error) {
 }
 
 // ProtectAll write-protects every page and discards all twins. This is the
-// DSD's "mprotect the globals" step at acquire time.
+// DSD's "mprotect the globals" step at acquire time. It costs the dirty
+// pages only, unless some page was left writable without a twin.
 func (s *Segment) ProtectAll() {
-	for i := range s.prot {
-		s.prot[i] = true
-		s.twins[i] = nil
+	if s.open {
+		for i := range s.prot {
+			s.prot[i] = true
+		}
+		s.open = false
 	}
+	for _, p := range s.dirty {
+		s.prot[p] = true
+		s.twinned[p] = false
+	}
+	s.dirty = s.dirty[:0]
 }
 
 // UnprotectAll removes write protection from every page without touching
@@ -132,6 +159,7 @@ func (s *Segment) UnprotectAll() {
 	for i := range s.prot {
 		s.prot[i] = false
 	}
+	s.open = true
 }
 
 // Protected reports whether the page is currently write-protected.
@@ -162,27 +190,52 @@ func (s *Segment) View(off, n int) ([]byte, error) {
 // each protected page: the page is twinned, unprotected, and the fault hook
 // runs — exactly the SIGSEGV-handler protocol of the paper.
 func (s *Segment) Write(off int, b []byte) error {
-	if err := s.check(off, len(b)); err != nil {
+	v, err := s.WriteView(off, len(b))
+	if err != nil {
 		return err
 	}
-	first := off / s.pageSize
-	last := (off + len(b) - 1) / s.pageSize
-	for p := first; p <= last; p++ {
-		if s.prot[p] {
-			s.trap(p)
+	copy(v, b)
+	return nil
+}
+
+// WriteView is Write without a source buffer: it takes the write traps for
+// [off, off+n) and returns those n bytes of the segment for the caller to
+// store into in place, so a typed store encodes straight into the replica.
+// The view is for this store only; keeping it to write later would bypass
+// the next window's write detection. An empty range traps nothing.
+func (s *Segment) WriteView(off, n int) ([]byte, error) {
+	if err := s.check(off, n); err != nil {
+		return nil, err
+	}
+	if n > 0 {
+		for p, last := off/s.pageSize, (off+n-1)/s.pageSize; p <= last; p++ {
+			if s.prot[p] {
+				s.trap(p)
+			}
 		}
 	}
-	copy(s.data[off:], b)
-	return nil
+	return s.data[off : off+n : off+n], nil
 }
 
 // trap performs the fault protocol on one page: twin, unprotect, notify.
 func (s *Segment) trap(p int) {
-	twin := make([]byte, s.pageSize)
-	copy(twin, s.data[p*s.pageSize:(p+1)*s.pageSize])
-	s.twins[p] = twin
+	if s.twin == nil {
+		s.twin = make([]byte, len(s.data))
+	}
+	lo, hi := p*s.pageSize, (p+1)*s.pageSize
+	copy(s.twin[lo:hi], s.data[lo:hi])
+	s.twinned[p] = true
+	if n := len(s.dirty); n == 0 || s.dirty[n-1] < p {
+		s.dirty = append(s.dirty, p)
+	} else {
+		i, _ := slices.BinarySearch(s.dirty, p)
+		s.dirty = slices.Insert(s.dirty, i, p)
+	}
 	s.prot[p] = false
 	s.faults++
+	if s.heatFaults[p] == s.shipped[p] {
+		s.touched = append(s.touched, p)
+	}
 	s.heatFaults[p]++
 	s.twinsMade++
 	if s.onFault != nil {
@@ -211,22 +264,16 @@ func (s *Segment) ApplyRemote(off int, b []byte) error {
 		return err
 	}
 	copy(s.data[off:], b)
-	first := off / s.pageSize
-	last := (off + len(b) - 1) / s.pageSize
-	for p := first; p <= last; p++ {
-		tw := s.twins[p]
-		if tw == nil {
+	if len(b) == 0 {
+		return nil
+	}
+	for p, last := off/s.pageSize, (off+len(b)-1)/s.pageSize; p <= last; p++ {
+		if !s.twinned[p] {
 			continue
 		}
-		pageStart := p * s.pageSize
-		lo, hi := off, off+len(b)
-		if lo < pageStart {
-			lo = pageStart
-		}
-		if end := pageStart + s.pageSize; hi > end {
-			hi = end
-		}
-		copy(tw[lo-pageStart:], b[lo-off:hi-off])
+		lo := max(off, p*s.pageSize)
+		hi := min(off+len(b), (p+1)*s.pageSize)
+		copy(s.twin[lo:hi], b[lo-off:hi-off])
 	}
 	return nil
 }
@@ -241,15 +288,25 @@ func (s *Segment) check(off, n int) error {
 // DirtyPages returns the indexes of pages written since the last
 // ProtectAll, in ascending order.
 func (s *Segment) DirtyPages() []int {
-	var out []int
-	for i, tw := range s.twins {
-		if tw != nil {
-			out = append(out, i)
-		}
+	if len(s.dirty) == 0 {
+		return nil
 	}
-	sort.Ints(out)
-	return out
+	return slices.Clone(s.dirty)
 }
+
+// Window exposes the current detection window to a release scan
+// (indextable.Table.ReleaseSpans) without copying: the dirty pages in
+// ascending order, the replica, and the twin arena, whose bytes are
+// meaningful on dirty pages only. All three are the segment's own storage:
+// read them, never write them, and drop them at the next store, ApplyRemote,
+// ProtectAll or DropTwins.
+func (s *Segment) Window() (dirty []int, cur, twin []byte) {
+	return s.dirty, s.data, s.twin
+}
+
+// Twinned reports whether page holds a twin, i.e. is dirty in the current
+// window.
+func (s *Segment) Twinned(page int) bool { return s.twinned[page] }
 
 // Range is a half-open byte span [Start, End) of segment offsets.
 type Range struct {
@@ -262,50 +319,27 @@ type Range struct {
 // Len returns the span length.
 func (r Range) Len() int { return r.End - r.Start }
 
-// DiffGranularity selects how the twin comparison scans memory; an ablation
-// knob (DESIGN.md §5). Both produce byte-exact ranges; word-wise scans
-// whole words first and refines edges.
+// DiffGranularity names how the twin comparison scans memory.
 type DiffGranularity int
 
-const (
-	// DiffByte compares byte by byte — the straightforward scheme the
-	// paper describes ("each byte on the dirty page must be compared to
-	// its corresponding byte on the original page", Section 4.2).
-	DiffByte DiffGranularity = iota
-	// DiffWord compares 8-byte words and refines edges byte-wise.
-	DiffWord
-)
+// DiffByte compares byte by byte — the straightforward scheme the paper
+// describes ("each byte on the dirty page must be compared to its
+// corresponding byte on the original page", Section 4.2). It is the only
+// granularity; the DSD's release path uses the fused element-stride scan
+// (indextable.Table.ReleaseSpans), with Diff kept as its test oracle.
+const DiffByte DiffGranularity = 0
 
 // DiffPage compares a dirty page against its twin and returns the modified
-// byte ranges as segment offsets. A page without a twin yields nil. This is
-// the t_index raw material: the DSD maps these ranges through the index
-// table.
+// byte ranges as segment offsets. A page without a twin yields nil.
 func (s *Segment) DiffPage(page int, g DiffGranularity) []Range {
-	tw := s.twins[page]
-	if tw == nil {
+	if !s.twinned[page] {
 		return nil
 	}
 	base := page * s.pageSize
 	cur := s.data[base : base+s.pageSize]
+	tw := s.twin[base : base+s.pageSize]
 	var out []Range
-	switch g {
-	case DiffWord:
-		out = diffWord(cur, tw, base)
-	default:
-		out = diffByte(cur, tw, base)
-	}
-	s.heatDiffRuns[page] += uint64(len(out))
-	for _, r := range out {
-		s.heatDiffBytes[page] += uint64(r.Len())
-	}
-	return out
-}
-
-func diffByte(cur, tw []byte, base int) []Range {
-	var out []Range
-	i := 0
-	n := len(cur)
-	for i < n {
+	for i, n := 0, len(cur); i < n; {
 		if cur[i] == tw[i] {
 			i++
 			continue
@@ -319,59 +353,12 @@ func diffByte(cur, tw []byte, base int) []Range {
 	return out
 }
 
-func diffWord(cur, tw []byte, base int) []Range {
-	var out []Range
-	n := len(cur)
-	i := 0
-	inRun := false
-	runStart := 0
-	flush := func(end int) {
-		if inRun {
-			out = append(out, Range{Start: base + runStart, End: base + end})
-			inRun = false
-		}
-	}
-	for i < n {
-		w := 8
-		if n-i < 8 {
-			w = n - i
-		}
-		same := true
-		for j := 0; j < w; j++ {
-			if cur[i+j] != tw[i+j] {
-				same = false
-				break
-			}
-		}
-		if same {
-			flush(i)
-			i += w
-			continue
-		}
-		// Refine the word byte-wise.
-		for j := 0; j < w; j++ {
-			if cur[i+j] != tw[i+j] {
-				if !inRun {
-					inRun = true
-					runStart = i + j
-				}
-			} else {
-				flush(i + j)
-			}
-		}
-		i += w
-	}
-	flush(n)
-	return out
-}
-
 // Diff runs DiffPage over every dirty page and returns all modified ranges
 // in ascending order, merging runs that touch across page boundaries.
 func (s *Segment) Diff(g DiffGranularity) []Range {
 	var out []Range
-	for _, p := range s.DirtyPages() {
-		rs := s.DiffPage(p, g)
-		for _, r := range rs {
+	for _, p := range s.dirty {
+		for _, r := range s.DiffPage(p, g) {
 			if len(out) > 0 && out[len(out)-1].End == r.Start {
 				out[len(out)-1].End = r.End
 			} else {
@@ -385,17 +372,15 @@ func (s *Segment) Diff(g DiffGranularity) []Range {
 // DropTwins discards all twins without re-protecting; used after a diff has
 // been consumed when the pages should stay writable.
 func (s *Segment) DropTwins() {
-	for i := range s.twins {
-		s.twins[i] = nil
+	for _, p := range s.dirty {
+		s.twinned[p] = false
 	}
+	if len(s.dirty) > 0 {
+		s.open = true
+	}
+	s.dirty = s.dirty[:0]
 }
 
 // TwinBytes returns the number of bytes currently held in twins, a measure
 // of the memory overhead of the twin/diff scheme.
-func (s *Segment) TwinBytes() int {
-	n := 0
-	for _, tw := range s.twins {
-		n += len(tw)
-	}
-	return n
-}
+func (s *Segment) TwinBytes() int { return len(s.dirty) * s.pageSize }

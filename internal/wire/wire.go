@@ -13,6 +13,9 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
+
+	"hetdsm/internal/platform"
 )
 
 // Kind discriminates protocol messages.
@@ -348,12 +351,23 @@ const MaxFrame = 64 << 20
 // maxDataLen is MaxFrame under its historical internal name.
 const maxDataLen = MaxFrame
 
-// Encode serializes a message. This is the t_pack work.
-func Encode(m *Message) ([]byte, error) {
+// Encode serializes a message into one freshly allocated frame of exactly
+// its encoded size: the frame is the only copy of the update payload a
+// release makes. This is the t_pack work.
+func Encode(m *Message) ([]byte, error) { return AppendEncode(nil, m) }
+
+// AppendEncode is Encode into dst's backing array, grown when too small:
+// a sender that knows when its receiver is done with a frame reuses one
+// buffer instead of allocating a frame per message. dst's contents are
+// overwritten.
+func AppendEncode(dst []byte, m *Message) ([]byte, error) {
 	if m.Kind == KindInvalid || m.Kind >= numKinds {
 		return nil, fmt.Errorf("wire: cannot encode kind %v", m.Kind)
 	}
-	buf := make([]byte, 0, 64+encodedUpdatesSize(m.Updates))
+	buf := dst[:0]
+	if n := encodedSize(m); cap(buf) < n {
+		buf = make([]byte, 0, n)
+	}
 	buf = append(buf, byte(m.Kind))
 	buf = be64(buf, m.Seq)
 	buf = be32(buf, uint32(m.Rank))
@@ -471,24 +485,54 @@ func encodedUpdatesSize(us []Update) int {
 	return n
 }
 
+// encodedSize is the length Encode produces for m, exact but for a
+// replication record, which is estimated (EncodeReplication's bound).
+func encodedSize(m *Message) int {
+	n := 1 + 8 + 4 + 4 + 4 + len(m.Platform) + 8 + 4 + encodedUpdatesSize(m.Updates) + 1
+	if st := m.State; st != nil {
+		n += 8 + 4 + len(st.FrameTag) + 4 + len(st.Frame) + 4 + len(st.ExtraTag) + 4 + len(st.Extra)
+	}
+	n += 4 + len(m.Err) + 4 + len(m.Addr) + 1 + 1 + 8 + 1
+	if r := m.Rep; r != nil {
+		n += 96 + r.DataBytes() + 20*len(r.Updates)
+	}
+	return n + 4 + 4 + 17*len(m.Dir) + 4 + 8*len(m.Heat) + 8 + 8 + 4
+}
+
 // Decode parses a message encoded by Encode. This is the t_unpack work.
 // The returned message aliases b's storage for Data/Frame slices; callers
 // that retain them past b's lifetime must copy.
 func Decode(b []byte) (*Message, error) {
+	m := new(Message)
+	if err := DecodeInto(m, b); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// DecodeInto is Decode into a message the caller owns, so a receive loop
+// that consumes each message before the next allocates no Message per
+// frame. m is overwritten whole; the backing arrays of m.Updates and m.Heat
+// are reused, also across frames that carry none, so a caller that keeps a
+// previous message's Updates or Heat slice must copy it first. Data slices
+// alias b, exactly as with Decode.
+func DecodeInto(m *Message, b []byte) error {
+	ups, heat := m.Updates[:0], m.Heat[:0]
+	*m = Message{}
 	d := decoder{b: b}
 	k := Kind(d.u8())
 	if k == KindInvalid || k >= numKinds {
-		return nil, fmt.Errorf("wire: bad kind %d", k)
+		return fmt.Errorf("wire: bad kind %d", k)
 	}
-	m := &Message{Kind: k}
+	m.Kind = k
 	m.Seq = d.u64()
 	m.Rank = int32(d.u32())
 	m.Mutex = int32(d.u32())
-	m.Platform = d.str()
+	m.Platform = d.platform()
 	m.Base = d.u64()
 	var err error
-	if m.Updates, err = d.updates(); err != nil {
-		return nil, err
+	if m.Updates, err = d.updates(ups); err != nil {
+		return err
 	}
 	if d.u8() == 1 {
 		st := &ThreadState{}
@@ -507,14 +551,14 @@ func Decode(b []byte) (*Message, error) {
 	if d.u8() == 1 {
 		r, err := d.rep()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		m.Rep = r
 	}
 	m.Shard = int32(d.u32())
 	if n := int(d.u32()); d.err == nil && n > 0 {
 		if n > maxRepEntries {
-			return nil, fmt.Errorf("wire: implausible dir-entry count %d", n)
+			return fmt.Errorf("wire: implausible dir-entry count %d", n)
 		}
 		m.Dir = make([]DirEntry, n)
 		for i := range m.Dir {
@@ -524,11 +568,12 @@ func Decode(b []byte) (*Message, error) {
 			m.Dir[i].Ver = d.u64()
 		}
 	}
+	m.Heat = heat
 	if n := int(d.u32()); d.err == nil && n > 0 {
 		if n > maxRepEntries {
-			return nil, fmt.Errorf("wire: implausible heat-sample count %d", n)
+			return fmt.Errorf("wire: implausible heat-sample count %d", n)
 		}
-		m.Heat = make([]HeatSample, n)
+		m.Heat = slices.Grow(heat, n)[:n]
 		for i := range m.Heat {
 			m.Heat[i].Page = int32(d.u32())
 			m.Heat[i].Faults = d.u32()
@@ -538,12 +583,12 @@ func Decode(b []byte) (*Message, error) {
 	m.ParentSpan = d.u64()
 	m.DeadlineMS = d.u32()
 	if d.err != nil {
-		return nil, d.err
+		return d.err
 	}
 	if d.off != len(b) {
-		return nil, fmt.Errorf("wire: %d trailing bytes", len(b)-d.off)
+		return fmt.Errorf("wire: %d trailing bytes", len(b)-d.off)
 	}
-	return m, nil
+	return nil
 }
 
 func be32(b []byte, v uint32) []byte {
@@ -622,19 +667,51 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
-func (d *decoder) str() string {
+func (d *decoder) str() string { return string(d.strBytes()) }
+
+// strBytes decodes a string's bytes as a view into the frame.
+func (d *decoder) strBytes() []byte {
 	n := int(d.u32())
 	if d.err != nil {
-		return ""
+		return nil
 	}
 	if n > maxStringLen || d.off+n > len(d.b) {
 		d.fail()
-		return ""
+		return nil
 	}
-	s := string(d.b[d.off : d.off+n])
+	raw := d.b[d.off : d.off+n]
 	d.off += n
-	return s
+	return raw
 }
+
+// strReuse decodes a string, returning whichever of a and b equals it
+// rather than allocating a copy: update tags repeat from update to update
+// and, in a reused message, from frame to frame.
+func (d *decoder) strReuse(a, b string) string {
+	switch raw := d.strBytes(); {
+	case string(raw) == a:
+		return a
+	case string(raw) == b:
+		return b
+	default:
+		return string(raw)
+	}
+}
+
+// platform decodes a platform name. Frames name one of a few platforms,
+// so a known name is returned as the registered string and decoding it
+// allocates nothing.
+func (d *decoder) platform() string {
+	raw := d.strBytes()
+	for _, p := range knownPlatforms {
+		if string(raw) == p.Name {
+			return p.Name
+		}
+	}
+	return string(raw)
+}
+
+var knownPlatforms = platform.All()
 
 // maxRepEntries bounds every list in a replication record or home image;
 // entries are per rank or per mutex, so even huge clusters stay far below.
@@ -650,7 +727,7 @@ func (d *decoder) rep() (*Replication, error) {
 		r.Home = d.home()
 	}
 	var err error
-	if r.Updates, err = d.updates(); err != nil {
+	if r.Updates, err = d.updates(nil); err != nil {
 		return nil, err
 	}
 	for n := d.count("mark"); n > 0 && d.err == nil; n-- {
@@ -662,22 +739,26 @@ func (d *decoder) rep() (*Replication, error) {
 	return r, nil
 }
 
-func (d *decoder) updates() ([]Update, error) {
+// updates decodes an update list, into us's backing array when it is large
+// enough. An empty list keeps that array for the next frame.
+func (d *decoder) updates(us []Update) ([]Update, error) {
 	n := int(d.u32())
 	if d.err != nil || n == 0 {
-		return nil, nil
+		return us[:0], nil
 	}
 	if n > maxDataLen/16 {
 		return nil, fmt.Errorf("wire: implausible update count %d", n)
 	}
-	us := make([]Update, n)
+	us = slices.Grow(us[:0], n)[:n]
+	prev := ""
 	for i := range us {
 		u := &us[i]
 		u.Entry = int32(d.u32())
 		u.First = int32(d.u32())
 		u.Count = int32(d.u32())
-		u.Tag = d.str()
+		u.Tag = d.strReuse(prev, u.Tag)
 		u.Data = d.bytes()
+		prev = u.Tag
 	}
 	return us, nil
 }

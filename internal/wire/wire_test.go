@@ -313,3 +313,97 @@ func TestQuickEncodeDeterministic(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestEncodeSizesFrameExactly: a frame is allocated once at its final
+// size — the only copy a release makes of its payload — so encoding never
+// grows and re-copies it.
+func TestEncodeSizesFrameExactly(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	msgs := []*Message{sampleMessage(), {Kind: KindJoinReq, Rank: 3}}
+	for i := 0; i < 200; i++ {
+		msgs = append(msgs, randomMessage(r))
+	}
+	for _, m := range msgs {
+		b, err := Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.Rep == nil && cap(b) != len(b) {
+			t.Errorf("%v frame: %d bytes in a %d-byte buffer", m.Kind, len(b), cap(b))
+		}
+	}
+}
+
+// TestDecodeIntoReusesMessage: decoding frame after frame into one message
+// yields exactly what Decode yields, reusing the Updates and Heat arrays
+// and the tag strings it already holds, also across frames that carry no
+// updates or heat (a lock request between two releases).
+func TestDecodeIntoReusesMessage(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	var m Message
+	for i := 0; i < 300; i++ {
+		want := randomMessage(r)
+		if i%3 == 0 {
+			want = sampleMessage()
+		}
+		b, err := Encode(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := Decode(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := DecodeInto(&m, b); err != nil {
+			t.Fatal(err)
+		}
+		got := m
+		if len(got.Updates) == 0 && len(ref.Updates) == 0 {
+			got.Updates = ref.Updates
+		}
+		if len(got.Heat) == 0 && len(ref.Heat) == 0 {
+			got.Heat = ref.Heat
+		}
+		if !reflect.DeepEqual(&got, ref) {
+			t.Fatalf("frame %d: DecodeInto\n %+v\nDecode\n %+v", i, got, *ref)
+		}
+	}
+	release := sampleMessage()
+	release.Heat = []HeatSample{{Page: 3, Faults: 1}, {Page: 9, Faults: 2}}
+	b, _ := Encode(release)
+	lock, _ := Encode(&Message{Kind: KindLockReq, Rank: 2})
+	if err := DecodeInto(&m, b); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		DecodeInto(&m, lock)
+		DecodeInto(&m, b)
+	})
+	if allocs != 0 {
+		t.Errorf("re-decoding a release after a lock request: %.0f allocs, want 0", allocs)
+	}
+}
+
+// TestAppendEncodeReusesBuffer: encoding into a large enough buffer writes
+// the frame Encode makes, in place.
+func TestAppendEncodeReusesBuffer(t *testing.T) {
+	r := rand.New(rand.NewSource(12))
+	buf := make([]byte, 0, 1<<16)
+	for i := 0; i < 100; i++ {
+		m := randomMessage(r)
+		want, err := Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendEncode(buf, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("message %d: AppendEncode differs from Encode", i)
+		}
+		if len(want) <= cap(buf) && &got[0] != &buf[:1][0] {
+			t.Fatalf("message %d: %d-byte frame did not reuse a %d-byte buffer", i, len(want), cap(buf))
+		}
+	}
+}
