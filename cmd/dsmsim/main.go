@@ -182,6 +182,11 @@ func sweep(plans []sim.Plan, negative bool, workers int, verbose bool, out, corp
 				// an infrastructure error is the failure here.
 				bad = res.Err != nil || len(res.Violations) == 0 || res.Corrupted == 0
 			}
+			if !bad {
+				// Keep only what the tally prints, so a sweep's memory
+				// does not grow with its plan count.
+				res = sim.Result{Plan: res.Plan, Events: res.Events}
+			}
 			results[i] = outcome{res: res, bad: bad}
 		}(i, plan)
 	}

@@ -230,7 +230,7 @@ func TestCleanErrorsUnderLinkFailures(t *testing.T) {
 		t.Run(fmt.Sprintf("fail-every-%d", failEvery), func(t *testing.T) {
 			t.Parallel()
 			inner := transport.NewInproc()
-			nw := transport.NewFlaky(inner, failEvery)
+			nw := transport.NewFaults(inner, transport.FaultPlan{Every: failEvery})
 			h, err := NewHome(testGThV(), platform.LinuxX86, 1, DefaultOptions())
 			if err != nil {
 				t.Fatal(err)
@@ -358,7 +358,7 @@ func TestHandoffUnderFlakyTransport(t *testing.T) {
 		t.Run(fmt.Sprintf("fail-every-%d", failEvery), func(t *testing.T) {
 			t.Parallel()
 			inner := transport.NewInproc()
-			nw := transport.NewFlaky(inner, failEvery)
+			nw := transport.NewFaults(inner, transport.FaultPlan{Every: failEvery})
 			h, err := NewHome(testGThV(), platform.LinuxX86, 1, DefaultOptions())
 			if err != nil {
 				t.Fatal(err)

@@ -11,15 +11,15 @@ import (
 )
 
 // The chaos e2e deployment: a home on a real TCP listener, rank 0 dialing
-// straight TCP, rank 1 dialing through its own Delayed wrapper so the test
+// straight TCP, rank 1 dialing through its own Faults wrapper so the test
 // can freeze exactly that rank's established connection. Fresh dials bypass
 // the freeze — a wedged connection is a per-socket fault (full socket
 // buffer, dead NAT entry), so redial-and-replay recovers where waiting
 // cannot.
 type stallCluster struct {
-	home    *Home
-	ths     [2]*Thread
-	delayed *transport.Delayed
+	home   *Home
+	ths    [2]*Thread
+	faults *transport.Faults
 }
 
 func newStallCluster(t *testing.T, opTimeout time.Duration) *stallCluster {
@@ -43,12 +43,12 @@ func newStallCluster(t *testing.T, opTimeout time.Duration) *stallCluster {
 		Base: time.Millisecond, Max: 10 * time.Millisecond,
 		Factor: 2, Jitter: 0.3, Attempts: 2000, Seed: 1,
 	}
-	c := &stallCluster{home: h, delayed: transport.NewDelayed(tcp, transport.DelayProfile{})}
+	c := &stallCluster{home: h, faults: transport.NewFaults(tcp, transport.FaultPlan{})}
 	c.ths[0], err = DialHABackoff(tcp, []string{l.Addr()}, platform.LinuxX86, 0, testGThV(), opts, bo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.ths[1], err = DialHABackoff(c.delayed, []string{l.Addr()}, platform.SolarisSPARC, 1, testGThV(), opts, bo)
+	c.ths[1], err = DialHABackoff(c.faults, []string{l.Addr()}, platform.SolarisSPARC, 1, testGThV(), opts, bo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func (c *stallCluster) run() chan error {
 		})
 	}()
 	<-entered
-	c.delayed.StallConns()
+	c.faults.Freeze()
 	close(release)
 	return done
 }
@@ -236,7 +236,7 @@ func TestStalledRankDeadlocksWithoutDeadlinePlane(t *testing.T) {
 	case <-time.After(2 * time.Second):
 	}
 
-	c.delayed.Resume()
+	c.faults.Resume()
 	for i := 0; i < 2; i++ {
 		select {
 		case err := <-done:

@@ -308,7 +308,7 @@ func TestTransientPartitionReplay(t *testing.T) {
 		seed      = int64(20060814)
 	)
 	gthv := apps.TransferGThV(nAccounts)
-	flaky := transport.NewFlakyRand(transport.NewInproc(), 0.02, 1)
+	flaky := transport.NewFaults(transport.NewInproc(), transport.FaultPlan{P: 0.02, Seed: 1})
 
 	opts := dsd.DefaultOptions()
 	opts.StickyLocks = true
@@ -355,7 +355,7 @@ func TestTransientPartitionReplay(t *testing.T) {
 			t.Fatalf("balances[%d] = %d, want %d (a replayed transfer applied twice?)", i, got[i], want[i])
 		}
 	}
-	if flaky.Kills() == 0 {
+	if flaky.Counts().Kills == 0 {
 		t.Error("flaky transport never dropped anything; partition path untested")
 	}
 	var total uint64

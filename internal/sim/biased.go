@@ -1,109 +1,6 @@
 package sim
 
-import (
-	"math/rand"
-	"strings"
-	"sync"
-	"sync/atomic"
-
-	"hetdsm/internal/transport"
-	"hetdsm/internal/wire"
-)
-
-// BiasedNet drops frames whose wire kind is in a target set, severing the
-// carrying connection exactly as a mid-write link death would. Uniform
-// random drops (transport.Flaky) mostly hit the high-volume request kinds;
-// biasing the drop onto grants, barrier releases and acks aims the fault at
-// the narrow request/ack windows where a lost reply — not a lost request —
-// must be survived by sequence-numbered replay. The kind is read straight
-// from the frame's leading byte, so the hot path never decodes.
-type BiasedNet struct {
-	inner  transport.Network
-	target [256]bool
-	p      float64
-	names  string
-
-	rmu   sync.Mutex
-	rng   *rand.Rand
-	drops atomic.Int64
-}
-
-// NewBiasedNet wraps inner so each frame of a targeted kind is dropped
-// (with its connection) with probability p, deterministically from seed.
-func NewBiasedNet(inner transport.Network, kinds []wire.Kind, p float64, seed int64) *BiasedNet {
-	n := &BiasedNet{inner: inner, p: p, rng: rand.New(rand.NewSource(seed))}
-	names := make([]string, 0, len(kinds))
-	for _, k := range kinds {
-		n.target[byte(k)] = true
-		names = append(names, k.String())
-	}
-	n.names = strings.Join(names, ",")
-	return n
-}
-
-// Targets describes the targeted kind set for fault logs.
-func (n *BiasedNet) Targets() string { return n.names }
-
-// Drops returns how many frames were dropped.
-func (n *BiasedNet) Drops() int64 { return n.drops.Load() }
-
-// Listen implements transport.Network; accepted connections drop too, so
-// home-originated kinds (grants, releases, acks) are reachable.
-func (n *BiasedNet) Listen(addr string) (transport.Listener, error) {
-	l, err := n.inner.Listen(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &biasedListener{l: l, net: n}, nil
-}
-
-// Dial implements transport.Network.
-func (n *BiasedNet) Dial(addr string) (transport.Conn, error) {
-	c, err := n.inner.Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &biasedConn{c: c, net: n}, nil
-}
-
-type biasedListener struct {
-	l   transport.Listener
-	net *BiasedNet
-}
-
-func (l *biasedListener) Accept() (transport.Conn, error) {
-	c, err := l.l.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return &biasedConn{c: c, net: l.net}, nil
-}
-
-func (l *biasedListener) Close() error { return l.l.Close() }
-func (l *biasedListener) Addr() string { return l.l.Addr() }
-
-type biasedConn struct {
-	c   transport.Conn
-	net *BiasedNet
-}
-
-func (c *biasedConn) SendFrame(frame []byte) error {
-	n := c.net
-	if len(frame) > 0 && n.target[frame[0]] {
-		n.rmu.Lock()
-		doomed := n.rng.Float64() < n.p
-		n.rmu.Unlock()
-		if doomed {
-			n.drops.Add(1)
-			c.c.Close()
-			return transport.ErrClosed
-		}
-	}
-	return c.c.SendFrame(frame)
-}
-
-func (c *biasedConn) RecvFrame() ([]byte, error) { return c.c.RecvFrame() }
-func (c *biasedConn) Close() error               { return c.c.Close() }
+import "hetdsm/internal/wire"
 
 // lostAckKinds picks the seed's target set. Each set isolates one class of
 // home-to-thread reply so a sweep covers every ack race.

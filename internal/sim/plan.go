@@ -57,7 +57,7 @@ const (
 	// from its write-ahead log right after an entry migrated onto it.
 	ProfileMigrate Profile = "migrate"
 	// ProfileStall slows every connection with seeded per-frame latency and
-	// periodic full-stall windows (transport.Delayed) — the slow-peer fault
+	// periodic full-stall windows (transport.Faults) — the slow-peer fault
 	// family: frames arrive exactly once, in order and unchanged, only
 	// late. Committed state must therefore be byte-identical to the clean
 	// run; the profile proves timing faults cannot leak into values.

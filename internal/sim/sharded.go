@@ -46,39 +46,8 @@ func runShardedSim(plan Plan, gm GrammarMix, lay layout, homePlat *platform.Plat
 	opts.Spans = spans
 	opts.Flight = fr
 
-	base := transport.NewInproc()
-	var nw transport.Network = base
-	var biased *BiasedNet
-	var delayed *transport.Delayed
-	switch plan.Profile {
-	case ProfileClean:
-	case ProfileFlaky:
-		nw = transport.NewFlakyRand(base, 0.01, plan.Seed)
-	case ProfileLostAck:
-		biased = NewBiasedNet(base, lostAckKinds(plan.Seed), 0.25, plan.Seed)
-		nw = biased
-		res.FaultLog = append(res.FaultLog,
-			fmt.Sprintf("lostack: dropping {%s} frames with p=0.25", biased.Targets()))
-	case ProfileMigrate:
-		biased = NewBiasedNet(base, migrateKinds(plan.Seed), 0.2, plan.Seed)
-		nw = biased
-		res.FaultLog = append(res.FaultLog,
-			fmt.Sprintf("migrate: dropping {%s} frames with p=0.2", biased.Targets()))
-	case ProfileStall:
-		delayed = transport.NewDelayed(base, stallProfile(plan.Seed))
-		nw = delayed
-		res.FaultLog = append(res.FaultLog,
-			"stall: seeded per-frame latency with periodic full-stall windows")
-	case ProfileDribble:
-		delayed = transport.NewDelayed(base, dribbleProfile(plan.Seed))
-		nw = delayed
-		res.FaultLog = append(res.FaultLog,
-			"dribble: every frame delivered in dribbled chunks with per-frame latency")
-	default:
-		res.Err = fmt.Errorf("sim: profile %q does not compose with -shards %d (want clean, flaky, lostack, migrate, stall or dribble)",
-			plan.Profile, plan.Shards)
-		return res
-	}
+	fplan, faultName := faultsFor(plan, lay)
+	nw := transport.NewFaults(transport.NewInproc(), fplan)
 
 	var walDir string
 	if plan.Profile == ProfileMigrate {
@@ -107,7 +76,14 @@ func runShardedSim(plan Plan, gm GrammarMix, lay layout, homePlat *platform.Plat
 	}
 	defer cl.Close()
 
-	workers := make([]*worker, plan.Threads)
+	// Closing the threads ends their proxies, which close their shard
+	// conns, which ends the shards' serving goroutines.
+	workers := make([]*worker, 0, plan.Threads)
+	defer func() {
+		for _, w := range workers {
+			w.shutdown()
+		}
+	}()
 	for rank := 0; rank < plan.Threads; rank++ {
 		topts := opts
 		topts.Recorder = hist
@@ -116,7 +92,7 @@ func runShardedSim(plan Plan, gm GrammarMix, lay layout, homePlat *platform.Plat
 			res.Err = fmt.Errorf("sim: rank %d attach: %w", rank, err)
 			return res
 		}
-		workers[rank] = newWorker(rank, th)
+		workers = append(workers, newWorker(rank, th))
 	}
 
 	entries := cl.Home(0).Table().Len()
@@ -157,12 +133,8 @@ func runShardedSim(plan Plan, gm GrammarMix, lay layout, homePlat *platform.Plat
 
 	prog := compileProgram(plan, gm, lay, rng)
 	d := &driver{workers: workers, faultAt: faultAt}
-	runErr := d.run(prog)
-	for _, w := range workers {
-		w.shutdown()
-	}
-	if runErr != nil {
-		res.Err = runErr
+	if err := d.run(prog); err != nil {
+		res.Err = err
 		return res
 	}
 	cl.Wait()
@@ -170,13 +142,10 @@ func runShardedSim(plan Plan, gm GrammarMix, lay layout, homePlat *platform.Plat
 	for _, w := range workers {
 		res.Reconnects += w.th.Reconnects()
 	}
-	if biased != nil {
-		res.FaultLog = append(res.FaultLog,
-			fmt.Sprintf("%s: dropped %d frames", plan.Profile, biased.Drops()))
-	}
-	if delayed != nil {
-		res.FaultLog = append(res.FaultLog,
-			fmt.Sprintf("%s: delayed %d frames, %d full stalls", plan.Profile, delayed.Frames(), delayed.Stalls()))
+	counts := nw.Counts()
+	res.Corrupted = int(counts.Mangled)
+	if faultName != "" {
+		res.FaultLog = append(res.FaultLog, fmt.Sprintf("%s: %s", faultName, counts))
 	}
 
 	events := hist.Events()

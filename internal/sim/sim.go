@@ -1,11 +1,16 @@
 package sim
 
 import (
+	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
 	"runtime"
+	"runtime/pprof"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"hetdsm/internal/check"
@@ -98,31 +103,49 @@ func simBackoff(seed int64, rank int32) transport.Backoff {
 	}
 }
 
-// stallProfile is the slow-peer schedule: seeded per-frame latency plus a
-// network-wide full-stall window every 31st frame. Pure timing — the RC
-// checker must see a canonical trace byte-identical to the clean run.
-func stallProfile(seed int64) transport.DelayProfile {
-	return transport.DelayProfile{
-		Latency:    200 * time.Microsecond,
-		StallEvery: 31,
-		StallFor:   2 * time.Millisecond,
-		Seed:       seed,
-	}
-}
+// runLabel tags every goroutine a Run starts (pprof labels are inherited
+// by child goroutines) with the run's number from runs, so Run can wait
+// until all of them have exited.
+const runLabel = "dsmsim-run"
 
-// dribbleProfile is the slow-NIC schedule: every frame's latency paid in
-// four separate dribbled sleeps, modeling trickled writes.
-func dribbleProfile(seed int64) transport.DelayProfile {
-	return transport.DelayProfile{
-		Latency:       300 * time.Microsecond,
-		DribbleChunks: 4,
-		Seed:          seed,
-	}
-}
+var runs atomic.Int64
 
 // Run executes one plan and validates the recorded history. It never
-// panics on protocol misbehavior — everything lands in Result.
+// panics on protocol misbehavior — everything lands in Result. It returns
+// only after every goroutine the run started has exited, so nothing the
+// run allocated outlives it and a sweep's memory does not grow with its
+// seed count.
 func Run(plan Plan) Result {
+	var res Result
+	label := strconv.FormatInt(runs.Add(1), 10)
+	pprof.Do(context.Background(), pprof.Labels(runLabel, label), func(context.Context) { res = run(plan) })
+	if err := awaitGoroutines(label, 10*time.Second); err != nil && res.Err == nil {
+		res.Err = err
+	}
+	return res
+}
+
+// awaitGoroutines polls the goroutine profile until no goroutine carries
+// the run's label, failing once patience runs out.
+func awaitGoroutines(label string, patience time.Duration) error {
+	mark := []byte(fmt.Sprintf("%q:%q", runLabel, label))
+	deadline := time.Now().Add(patience)
+	var b bytes.Buffer
+	for wait := 50 * time.Microsecond; ; wait = min(2*wait, 10*time.Millisecond) {
+		b.Reset()
+		pprof.Lookup("goroutine").WriteTo(&b, 1)
+		n := bytes.Count(b.Bytes(), mark)
+		if n == 0 {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("sim: %d goroutine stack(s) outlived the run by %s", n, patience)
+		}
+		time.Sleep(wait)
+	}
+}
+
+func run(plan Plan) Result {
 	plan = plan.withDefaults()
 	res := Result{Plan: plan}
 	if err := plan.Validate(); err != nil {
@@ -162,41 +185,8 @@ func Run(plan Plan) Result {
 	opts.Spans = spans
 	opts.Flight = fr
 
-	// Fault-injection network stack.
-	base := transport.NewInproc()
-	var nw transport.Network = base
-	var snet *Net
-	var corrupt *CorruptNet
-	var biased *BiasedNet
-	var delayed *transport.Delayed
-	switch {
-	case plan.Negative:
-		// Never corrupt the pointer entry: a mangled pointer fails
-		// home-side translation — an infrastructure error, not the silent
-		// value divergence the oracle test must prove the checker catches.
-		corrupt = NewCorruptNet(base, lay.ptrEntry())
-		nw = corrupt
-	case plan.Profile == ProfileFlaky:
-		nw = transport.NewFlakyRand(base, 0.01, plan.Seed)
-	case plan.Profile == ProfilePartition:
-		snet = NewNet(base)
-		nw = snet
-	case plan.Profile == ProfileLostAck:
-		biased = NewBiasedNet(base, lostAckKinds(plan.Seed), 0.25, plan.Seed)
-		nw = biased
-		res.FaultLog = append(res.FaultLog,
-			fmt.Sprintf("lostack: dropping {%s} frames with p=0.25", biased.Targets()))
-	case plan.Profile == ProfileStall:
-		delayed = transport.NewDelayed(base, stallProfile(plan.Seed))
-		nw = delayed
-		res.FaultLog = append(res.FaultLog,
-			"stall: seeded per-frame latency with periodic full-stall windows")
-	case plan.Profile == ProfileDribble:
-		delayed = transport.NewDelayed(base, dribbleProfile(plan.Seed))
-		nw = delayed
-		res.FaultLog = append(res.FaultLog,
-			"dribble: every frame delivered in dribbled chunks with per-frame latency")
-	}
+	fplan, faultName := faultsFor(plan, lay)
+	nw := transport.NewFaults(transport.NewInproc(), fplan)
 
 	// Home-side deployment.
 	addrs := []string{"home"}
@@ -207,6 +197,27 @@ func Run(plan Plan) Result {
 	var walDir string
 	var standby *ha.Standby
 	var repl *ha.Replicator
+
+	// Teardown, whatever path the run leaves by: every worker's thread is
+	// closed and every home that served is killed, so no serving goroutine
+	// stays parked on a conn and Run's goroutine wait completes.
+	var homes []*dsd.Home
+	workers := make([]*worker, 0, plan.Threads)
+	stop := make(chan struct{})
+	defer func() {
+		close(stop)
+		for _, w := range workers {
+			w.shutdown()
+		}
+		if standby != nil {
+			if h, _ := standby.Home(); h != nil {
+				homes = append(homes, h)
+			}
+		}
+		for _, h := range homes {
+			h.Kill()
+		}
+	}()
 	// haClock drives the standby's failure detector. It advances only
 	// after the scheduled kill, so the detector cannot falsely suspect a
 	// live primary no matter how starved the host CPU is — early
@@ -221,6 +232,7 @@ func Run(plan Plan) Result {
 			res.Err = err
 			return res
 		}
+		homes = append(homes, primary)
 		pl, err := nw.Listen("primary")
 		if err != nil {
 			res.Err = err
@@ -244,6 +256,7 @@ func Run(plan Plan) Result {
 			res.Err = err
 			return res
 		}
+		defer standby.Stop()
 		standby.Counters = counters
 		repConn, err := nw.Dial("replica")
 		if err != nil {
@@ -251,6 +264,7 @@ func Run(plan Plan) Result {
 			return res
 		}
 		repl = ha.NewReplicator(repConn, counters)
+		defer repl.Close()
 		repl.Spans = spans
 		repl.Node = "replicator"
 		if err := primary.StartReplication(repl); err != nil {
@@ -266,7 +280,6 @@ func Run(plan Plan) Result {
 			runtime.Gosched()
 		}
 		standby.Start()
-		defer standby.Stop()
 	} else {
 		var wlog *wal.Log
 		homeOpts := opts
@@ -282,6 +295,8 @@ func Run(plan Plan) Result {
 				res.Err = err
 				return res
 			}
+			curLog = wlog
+			defer func() { curLog.Close() }()
 			homeOpts.Epoch = wlog.Epoch()
 		}
 		primary, err = dsd.NewHome(gthv, homePlat, plan.Threads, homeOpts)
@@ -289,6 +304,7 @@ func Run(plan Plan) Result {
 			res.Err = err
 			return res
 		}
+		homes = append(homes, primary)
 		l, err := nw.Listen("home")
 		if err != nil {
 			res.Err = err
@@ -300,13 +316,10 @@ func Run(plan Plan) Result {
 				res.Err = err
 				return res
 			}
-			curLog = wlog
-			defer func() { curLog.Close() }()
 		}
 	}
 
 	// Worker threads, one goroutine each, recording into the history.
-	workers := make([]*worker, plan.Threads)
 	for rank := 0; rank < plan.Threads; rank++ {
 		topts := opts
 		topts.Recorder = hist
@@ -315,7 +328,7 @@ func Run(plan Plan) Result {
 			res.Err = fmt.Errorf("sim: rank %d dial: %w", rank, err)
 			return res
 		}
-		workers[rank] = newWorker(rank, th)
+		workers = append(workers, newWorker(rank, th))
 	}
 
 	// Fault schedule, stamped on the logical clock (one tick per step).
@@ -328,7 +341,7 @@ func Run(plan Plan) Result {
 		case ProfilePartition:
 			if step == plan.Steps/3 || step == (2*plan.Steps)/3 {
 				const heal = 2 * time.Millisecond
-				snet.Cut("home", heal)
+				nw.Cut("home", heal)
 				res.FaultLog = append(res.FaultLog,
 					fmt.Sprintf("step %d t=%s: partition home for %s", step, logicalNow(), heal))
 			}
@@ -342,6 +355,8 @@ func Run(plan Plan) Result {
 					for {
 						select {
 						case <-standby.Promoted():
+							return
+						case <-stop:
 							return
 						default:
 							haClock.Advance(2 * time.Millisecond)
@@ -362,10 +377,12 @@ func Run(plan Plan) Result {
 				if err != nil {
 					return fmt.Errorf("sim: wal reopen: %w", err)
 				}
+				curLog = wlog2
 				succ, err := wlog2.RecoverHome(homePlat, opts)
 				if err != nil {
 					return fmt.Errorf("sim: wal recover: %w", err)
 				}
+				homes = append(homes, succ)
 				l2, err := nw.Listen("home") // Kill freed the address
 				if err != nil {
 					return fmt.Errorf("sim: restart listen: %w", err)
@@ -374,7 +391,6 @@ func Run(plan Plan) Result {
 				if err := succ.StartReplication(wlog2); err != nil {
 					return fmt.Errorf("sim: restart replication: %w", err)
 				}
-				curLog = wlog2
 				successor = succ
 				res.FaultLog = append(res.FaultLog,
 					fmt.Sprintf("step %d t=%s: kill home, restart from WAL at epoch %d (%d records replayed)",
@@ -390,6 +406,7 @@ func Run(plan Plan) Result {
 				if err != nil {
 					return fmt.Errorf("sim: handoff: %w", err)
 				}
+				homes = append(homes, succ)
 				l2, err := nw.Listen("home2")
 				if err != nil {
 					return fmt.Errorf("sim: handoff listen: %w", err)
@@ -406,12 +423,8 @@ func Run(plan Plan) Result {
 
 	prog := compileProgram(plan, gm, lay, rng)
 	d := &driver{workers: workers, faultAt: faultAt}
-	runErr := d.run(prog)
-	for _, w := range workers {
-		w.shutdown()
-	}
-	if runErr != nil {
-		res.Err = runErr
+	if err := d.run(prog); err != nil {
+		res.Err = err
 		return res
 	}
 
@@ -434,20 +447,14 @@ func Run(plan Plan) Result {
 		finalHome = successor
 	}
 	finalHome.Wait() // every rank joined
-	defer finalHome.Close()
 
 	for _, w := range workers {
 		res.Reconnects += w.th.Reconnects()
 	}
-	if corrupt != nil {
-		res.Corrupted = corrupt.Corrupted()
-	}
-	if biased != nil {
-		res.FaultLog = append(res.FaultLog, fmt.Sprintf("lostack: dropped %d frames", biased.Drops()))
-	}
-	if delayed != nil {
-		res.FaultLog = append(res.FaultLog,
-			fmt.Sprintf("%s: delayed %d frames, %d full stalls", plan.Profile, delayed.Frames(), delayed.Stalls()))
+	counts := nw.Counts()
+	res.Corrupted = int(counts.Mangled)
+	if faultName != "" {
+		res.FaultLog = append(res.FaultLog, fmt.Sprintf("%s: %s", faultName, counts))
 	}
 
 	// Validation: model replay, master comparison, trace cross-check, and

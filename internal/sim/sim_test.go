@@ -2,7 +2,11 @@ package sim
 
 import (
 	"bytes"
+	"context"
+	"runtime"
+	"runtime/pprof"
 	"testing"
+	"time"
 )
 
 // TestRunCleanProfile is the first smoke test: a homogeneous clean run
@@ -112,5 +116,50 @@ func TestRunNegativeRequiresClean(t *testing.T) {
 	plan.Negative = true
 	if res := Run(plan); res.Err == nil {
 		t.Fatal("negative+flaky accepted")
+	}
+}
+
+// TestRunLeavesNoGoroutines: Run tears its whole deployment down before it
+// returns, on every profile (migrate at its default 4 shards). A serving
+// goroutine left parked on a conn pins the run's home, its options and
+// their 2^16-entry trace and span rings, so a sweep would grow with its
+// seed count.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	for _, prof := range Profiles() {
+		before := runtime.NumGoroutine()
+		res := Run(NewPlan(1, prof, "SL"))
+		if !res.OK() {
+			t.Fatalf("%s:\n%s", prof, res.Report())
+		}
+		deadline := time.Now().Add(100 * time.Millisecond)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			buf := make([]byte, 1<<20)
+			t.Errorf("%s: %d goroutine(s) outlived Run:\n%s", prof, n-before, buf[:runtime.Stack(buf, true)])
+		}
+	}
+}
+
+// TestAwaitGoroutines: the run-label wait sees goroutines started under
+// the label, transitively, and only those.
+func TestAwaitGoroutines(t *testing.T) {
+	release := make(chan struct{})
+	pprof.Do(context.Background(), pprof.Labels(runLabel, "test"), func(context.Context) {
+		go func() {
+			go func() { <-release }()
+			<-release
+		}()
+	})
+	if err := awaitGoroutines("test", 20*time.Millisecond); err == nil {
+		t.Fatal("wait ignored live labelled goroutines")
+	}
+	if err := awaitGoroutines("tes", time.Millisecond); err != nil {
+		t.Fatalf("a label prefix matched: %v", err)
+	}
+	close(release)
+	if err := awaitGoroutines("test", 5*time.Second); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -118,7 +118,7 @@ func (w *worker) exec1(g *dsd.Globals, in instr) error {
 // send dispatches an instruction list; await collects its result.
 func (w *worker) send(ins []instr) { w.cmds <- ins }
 func (w *worker) await() error     { return <-w.done }
-func (w *worker) shutdown()        { close(w.cmds) }
+func (w *worker) shutdown()        { close(w.cmds); w.th.Close() }
 
 // driver executes a compiled program. All randomness was consumed at
 // compile time, and batches only run rank programs concurrently when they

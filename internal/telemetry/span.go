@@ -137,7 +137,6 @@ func SpanID(traceID uint64, node, stage string, rank int32) uint64 {
 // trace.Log. A nil *SpanLog is a valid disabled sink. Construct with
 // NewSpanLog.
 type SpanLog struct {
-	capa    int // immutable after construction; readable without mu
 	mu      sync.Mutex
 	buf     []Span
 	next    uint64 // total spans ever recorded
@@ -149,7 +148,7 @@ func NewSpanLog(capacity int) *SpanLog {
 	if capacity <= 0 {
 		capacity = 4096
 	}
-	return &SpanLog{capa: capacity, buf: make([]Span, 0, capacity)}
+	return &SpanLog{buf: make([]Span, 0, capacity)}
 }
 
 // Record adds one span without trace context; no-op on a nil receiver.
@@ -224,7 +223,9 @@ func (l *SpanLog) Spans() []Span {
 	if l == nil {
 		return nil
 	}
-	out := make([]Span, 0, l.capa)
+	// Sized to what is retained, not to the ring's capacity: a snapshot can
+	// outlive its log (dsmsim keeps one per run) and must not pin a ring.
+	out := make([]Span, 0, l.Len())
 	l.mu.Lock()
 	if len(l.buf) < cap(l.buf) {
 		out = append(out, l.buf...)

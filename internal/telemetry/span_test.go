@@ -29,6 +29,13 @@ func TestSpanLogRing(t *testing.T) {
 			t.Errorf("span %d seq = %d, want %d (oldest-first after wrap)", i, s.Seq, want)
 		}
 	}
+	// A snapshot is sized to what the ring holds, not to its capacity: it
+	// can outlive the log (dsmsim keeps one per run).
+	part := NewSpanLog(1 << 16)
+	part.Record("n", StagePack, 1, 1, base, time.Millisecond, 0)
+	if got := cap(part.Spans()); got != 1 {
+		t.Errorf("snapshot of 1 span has capacity %d, want 1", got)
+	}
 }
 
 func TestSpanLogNil(t *testing.T) {

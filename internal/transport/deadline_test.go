@@ -4,8 +4,6 @@ import (
 	"errors"
 	"testing"
 	"time"
-
-	"hetdsm/internal/vclock"
 )
 
 // TestPipeDeadlineExpires: a pipe whose peer never drains fills its buffer;
@@ -141,41 +139,5 @@ func TestTCPWriteDeadlineFires(t *testing.T) {
 	}
 	if err := c.SendFrame([]byte{1}); err == nil {
 		t.Fatal("send on severed conn succeeded")
-	}
-}
-
-// TestDelayedVirtualClockDeadline proves the sim net's deadlines run on a
-// virtual clock: nothing fires until the clock is advanced past the
-// budget, then ErrDeadline lands deterministically without real sleeps.
-func TestDelayedVirtualClockDeadline(t *testing.T) {
-	clock := vclock.NewVirtual(time.Unix(0, 0))
-	inner := NewInproc()
-	if _, err := inner.Listen("h"); err != nil {
-		t.Fatal(err)
-	}
-	d := NewDelayed(inner, DelayProfile{Clock: clock})
-	c, err := d.Dial("h")
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.StallConns() // freeze: the send can only end via the deadline
-
-	errCh := make(chan error, 1)
-	go func() {
-		errCh <- SendFrameDeadline(c, []byte{1}, clock.Now().Add(100*time.Millisecond))
-	}()
-	select {
-	case err := <-errCh:
-		t.Fatalf("send finished before the virtual deadline: %v", err)
-	case <-time.After(20 * time.Millisecond):
-	}
-	clock.Advance(200 * time.Millisecond)
-	select {
-	case err := <-errCh:
-		if !errors.Is(err, ErrDeadline) {
-			t.Fatalf("got %v, want ErrDeadline", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("virtual deadline never fired")
 	}
 }

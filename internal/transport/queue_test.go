@@ -36,7 +36,7 @@ func TestSendQueueDelivers(t *testing.T) {
 // the watermarks expose the stall (enqueued frozen ahead of sent).
 func TestSendQueueShedsWhenFull(t *testing.T) {
 	inner := NewInproc()
-	d := NewDelayed(inner, DelayProfile{})
+	d := NewFaults(inner, FaultPlan{})
 	if _, err := d.Listen("h"); err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestSendQueueShedsWhenFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.StallConns() // writer will wedge on the first frame
+	d.Freeze() // writer will wedge on the first frame
 	q := NewSendQueue(c, 2, OverflowShed)
 
 	// First frame occupies the writer; two fill the queue; more must shed.

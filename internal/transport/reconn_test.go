@@ -252,85 +252,3 @@ func TestReconnClosedIsTerminal(t *testing.T) {
 		t.Error("recv after Close succeeded")
 	}
 }
-
-func TestFlakyRandDeterministicSchedule(t *testing.T) {
-	run := func(seed int64) (kills int64, failures []bool) {
-		nw := NewFlakyRand(NewInproc(), 0.3, seed)
-		l, err := nw.Listen("x")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer l.Close()
-		// The server accepts but never reads: frame ops draw from the
-		// shared RNG, so the client's sequential sends must be the only
-		// draws for the schedule to be reproducible.
-		done := make(chan struct{})
-		var held []Conn
-		go func() {
-			defer close(done)
-			for {
-				c, err := l.Accept()
-				if err != nil {
-					return
-				}
-				held = append(held, c)
-			}
-		}()
-		for i := 0; i < 40; i++ {
-			c, err := nw.Dial("x")
-			if err != nil {
-				t.Fatal(err)
-			}
-			failures = append(failures, c.SendFrame([]byte("f")) != nil)
-			c.Close()
-		}
-		l.Close()
-		<-done
-		for _, c := range held {
-			c.Close()
-		}
-		return nw.Kills(), failures
-	}
-	k1, f1 := run(99)
-	k2, f2 := run(99)
-	if k1 == 0 {
-		t.Fatal("p=0.3 over 40 ops produced no kills")
-	}
-	if k1 != k2 {
-		t.Errorf("same seed, different kill counts: %d vs %d", k1, k2)
-	}
-	for i := range f1 {
-		if f1[i] != f2[i] {
-			t.Fatalf("same seed diverged at op %d", i)
-		}
-	}
-
-	// p=0 never kills.
-	nw := NewFlakyRand(NewInproc(), 0, 1)
-	l, _ := nw.Listen("x")
-	defer l.Close()
-	go func() {
-		c, err := l.Accept()
-		if err != nil {
-			return
-		}
-		for {
-			if _, err := c.RecvFrame(); err != nil {
-				return
-			}
-		}
-	}()
-	c, err := nw.Dial("x")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	for i := 0; i < 50; i++ {
-		if err := c.SendFrame([]byte("f")); err != nil {
-			t.Fatalf("p=0 op %d failed: %v", i, err)
-		}
-	}
-	if nw.Kills() != 0 {
-		t.Errorf("p=0 kills = %d", nw.Kills())
-	}
-}

@@ -288,36 +288,3 @@ func TestConcurrentSenders(t *testing.T) {
 		t.Errorf("received %d frames, want %d", count, senders*per)
 	}
 }
-
-func TestFlakyKillsDeterministically(t *testing.T) {
-	nw := NewFlaky(NewInproc(), 3)
-	l, err := nw.Listen("svc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	accepted := make(chan Conn, 1)
-	go func() {
-		c, err := l.Accept()
-		if err == nil {
-			accepted <- c
-		}
-	}()
-	a, err := nw.Dial("svc")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := <-accepted
-	// Ops 1,2 succeed; op 3 fails.
-	if err := a.SendFrame([]byte("one")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.RecvFrame(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SendFrame([]byte("two")); err == nil {
-		t.Fatal("third operation should have failed")
-	}
-	if nw.Ops() != 3 {
-		t.Errorf("ops = %d, want 3", nw.Ops())
-	}
-}
