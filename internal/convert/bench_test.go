@@ -55,6 +55,25 @@ func BenchmarkIntRunWiden(b *testing.B) {
 	}
 }
 
+func BenchmarkIntRunNarrow(b *testing.B) {
+	const n = 128 * 1024 // 1 MiB of LP64 longs
+	src := platform.LinuxX8664
+	in := make([]byte, 8*n)
+	for i := 0; i < n; i++ {
+		src.PutInt(in[i*8:], 8, int64(-i))
+	}
+	out := make([]byte, 0, 4*n)
+	b.SetBytes(8 * n)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var err error
+		out, _, err = ScalarRun(out[:0], platform.SolarisSPARC, in, src, platform.CLong, n, Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkDoubleRunByteSwap(b *testing.B) {
 	const n = 128 * 1024 // 1 MiB of doubles
 	src := platform.SolarisSPARC

@@ -177,6 +177,7 @@ func TestFloatEdgeCases(t *testing.T) {
 		bits uint32
 	}{
 		{"quiet NaN with payload", 0x7fc0_beef},
+		{"signaling NaN pattern", 0x7f80_0001},
 		{"+Inf", math.Float32bits(float32(math.Inf(1)))},
 		{"-Inf", math.Float32bits(float32(math.Inf(-1)))},
 		{"negative zero", 0x8000_0000},

@@ -28,7 +28,10 @@ import (
 	"fmt"
 	"time"
 
+	"hetdsm/internal/convert"
 	"hetdsm/internal/flight"
+	"hetdsm/internal/indextable"
+	"hetdsm/internal/platform"
 	"hetdsm/internal/telemetry"
 	"hetdsm/internal/trace"
 	"hetdsm/internal/wire"
@@ -190,4 +193,20 @@ func (o Options) validate() error {
 		return fmt.Errorf("dsd: OpTimeout %v must not be negative", o.OpTimeout)
 	}
 	return nil
+}
+
+// entryPlans compiles receiver-makes-right once per index-table entry of
+// tab: from srcP's representation into tab's, pointer members translated
+// into tab's address space by tr. A session builds them where it learns its
+// peer's platform and indexes them by update entry from then on.
+func entryPlans(tab *indextable.Table, srcP *platform.Platform, tr convert.Translator) ([]convert.Plan, error) {
+	plans := make([]convert.Plan, tab.Len())
+	opt := convert.Options{Ptr: convert.PtrTranslate, Translator: tr}
+	for i := range plans {
+		var err error
+		if plans[i], err = convert.NewPlan(tab.Platform(), srcP, tab.Entry(i).CType, opt); err != nil {
+			return nil, err
+		}
+	}
+	return plans, nil
 }

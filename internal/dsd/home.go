@@ -120,9 +120,8 @@ type Replicator interface {
 }
 
 type peer struct {
-	rank  int32
-	plat  *platform.Platform
-	table *indextable.Table
+	rank int32
+	plat *platform.Platform
 	// pendOpen/pendMark/pendSeq track a barrier release in flight: the
 	// drain of the pending queue (first pendMark raw spans) commits only
 	// once a later request (Seq > pendSeq) proves the release arrived.
@@ -135,16 +134,16 @@ type peer struct {
 	// release or grant allocates only its encoded frame: ack receives the
 	// grant and sync acks, convs and conv hold a release's converted
 	// updates, others the ranks its spans are queued for, and grant,
-	// grantUps and grantData a materialized grant. translator maps the
-	// peer's pointers to ours.
-	ack        wire.Message
-	convs      []converted
-	conv       []byte
-	others     []int32
-	grant      []indextable.Span
-	grantUps   []wire.Update
-	grantData  []byte
-	translator convert.Translator
+	// grantUps and grantData a materialized grant. plans convert each
+	// entry from the peer's representation to ours, pointers translated.
+	ack       wire.Message
+	convs     []converted
+	conv      []byte
+	others    []int32
+	grant     []indextable.Span
+	grantUps  []wire.Update
+	grantData []byte
+	plans     []convert.Plan
 }
 
 // converted is one received update ready for the master: its span and its
@@ -354,13 +353,15 @@ func (h *Home) Restore(img *wire.HomeImage) error {
 // dirty afterwards, so any other rank is seeded in full when it registers.
 // Caller holds h.mu.
 func (h *Home) importLocked(srcTable *indextable.Table, src []byte, lo, hi int) error {
-	copt := convert.Options{Ptr: convert.PtrTranslate, Translator: h.table.Translator(srcTable)}
+	plans, err := entryPlans(h.table, srcTable.Platform(), h.table.Translator(srcTable))
+	if err != nil {
+		return err
+	}
 	origin := srcTable.Entry(lo).Offset
 	ups := make([]wire.Update, 0, hi-lo)
 	for i := lo; i < hi; i++ {
 		se := srcTable.Entry(i)
-		data, _, err := convert.ScalarRun(nil, h.plat, src[se.Offset-origin:][:se.Bytes()],
-			srcTable.Platform(), se.CType, se.Count, copt)
+		data, err := plans[i].Append(nil, src[se.Offset-origin:][:se.Bytes()], se.Count)
 		if err != nil {
 			return err
 		}
@@ -679,8 +680,12 @@ func (h *Home) handshake(c transport.Conn, msg *wire.Message) (*peer, error) {
 	if err := indextable.Compatible(h.table, ptable); err != nil {
 		return nil, err
 	}
+	plans, err := entryPlans(h.table, plat, h.table.Translator(ptable))
+	if err != nil {
+		return nil, err
+	}
 	h.opts.Trace.Record(h.node, trace.KindHello, msg.Rank, -1, 0, msg.Platform)
-	p := &peer{rank: msg.Rank, plat: plat, table: ptable}
+	p := &peer{rank: msg.Rank, plat: plat, plans: plans}
 	h.mu.Lock()
 	if h.fenced {
 		h.mu.Unlock()
@@ -1214,7 +1219,7 @@ func (h *Home) releasedMark(rank int32) uint64 {
 // applyUpdates converts incoming updates to the home representation
 // (receiver makes right, t_conv), applies them to the master copy, and
 // queues the spans for every other thread. An update whose representation
-// is already the home's (convert.FastPath) is written to the master
+// is already the home's (a copy plan) is written to the master
 // straight from the received frame; the rest convert into the peer's
 // scratch buffer. Neither outlives the request — the sender reuses its
 // frame once answered — so a replicator gets copies.
@@ -1226,10 +1231,6 @@ func (h *Home) applyUpdates(p *peer, msg *wire.Message) error {
 		return err
 	}
 	p.convs, p.conv = p.convs[:0], p.conv[:0]
-	if p.translator == nil {
-		p.translator = h.table.Translator(p.table)
-	}
-	copt := convert.Options{Ptr: convert.PtrTranslate, Translator: p.translator}
 
 	start := time.Now()
 	var convBytes int
@@ -1243,21 +1244,21 @@ func (h *Home) applyUpdates(p *peer, msg *wire.Message) error {
 			return fmt.Errorf("dsd: update %s[%d..%d) exceeds %d elements",
 				e.Name, u.First, int(u.First)+int(u.Count), e.Count)
 		}
-		srcSize := len(u.Data) / int(u.Count)
-		if want := p.plat.CSizeOf(e.CType); srcSize != want {
+		pl := &p.plans[u.Entry]
+		if srcSize := len(u.Data) / int(u.Count); srcSize != pl.SrcSize() {
 			return fmt.Errorf("dsd: update %s element size %d, want %d on %s",
-				e.Name, srcSize, want, p.plat)
+				e.Name, srcSize, pl.SrcSize(), p.plat)
 		}
 		cv := converted{
 			span: indextable.Span{Entry: int(u.Entry), First: int(u.First), Count: int(u.Count)},
 			data: u.Data,
 		}
-		if !convert.FastPath(h.plat, p.plat, e.CType, copt) {
+		if !pl.Copy() {
 			// Earlier views stay valid if the append moves p.conv: the old
 			// array keeps the bytes already converted into it.
 			at := len(p.conv)
 			var err error
-			if p.conv, _, err = convert.ScalarRun(p.conv, h.plat, u.Data, p.plat, e.CType, int(u.Count), copt); err != nil {
+			if p.conv, err = pl.Append(p.conv, u.Data, int(u.Count)); err != nil {
 				return err
 			}
 			cv.data = p.conv[at:]

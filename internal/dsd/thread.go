@@ -31,13 +31,17 @@ type Thread struct {
 	gthv tag.Struct
 	conn transport.Conn
 
-	layout     *tag.Layout
-	table      *indextable.Table
-	seg        *vmem.Segment
-	globals    *Globals
-	homePlat   *platform.Platform
-	homeTable  *indextable.Table
-	translator convert.Translator
+	layout    *tag.Layout
+	table     *indextable.Table
+	seg       *vmem.Segment
+	globals   *Globals
+	homePlat  *platform.Platform
+	homeTable *indextable.Table
+	// plans converts each index-table entry from plansFrom's
+	// representation to ours; compiled at handshake for the home's
+	// platform, and again only if a frame arrives from another one.
+	plans     []convert.Plan
+	plansFrom *platform.Platform
 
 	bd  stats.Breakdown
 	seq atomic.Uint64
@@ -202,7 +206,10 @@ func (t *Thread) handshakeOn(c transport.Conn) error {
 	if err != nil {
 		return err
 	}
-	t.translator = t.table.Translator(t.homeTable)
+	if t.plans, err = entryPlans(t.table, t.homePlat, t.table.Translator(t.homeTable)); err != nil {
+		return err
+	}
+	t.plansFrom = t.homePlat
 	t.proto = Protocol(ack.Proto)
 	// From now on the replica tracks this home: any later registration
 	// (redirect, reconnect) is a warm one, and the home's pending queue
@@ -779,7 +786,13 @@ func (t *Thread) applyIncoming(msg *wire.Message) error {
 			return fmt.Errorf("dsd: update from unknown platform %q", msg.Platform)
 		}
 	}
-	copt := convert.Options{Ptr: convert.PtrTranslate, Translator: t.translator}
+	if srcP != t.plansFrom {
+		plans, err := entryPlans(t.table, srcP, t.table.Translator(t.homeTable))
+		if err != nil {
+			return err
+		}
+		t.plans, t.plansFrom = plans, srcP
+	}
 	start := time.Now()
 	var convBytes int
 	for i := range msg.Updates {
@@ -798,14 +811,15 @@ func (t *Thread) applyIncoming(msg *wire.Message) error {
 			t.invalid = indextable.InsertSpan(t.invalid, span)
 			continue
 		}
-		if srcSize := len(u.Data) / int(u.Count); srcSize != srcP.CSizeOf(e.CType) {
+		pl := &t.plans[u.Entry]
+		if srcSize := len(u.Data) / int(u.Count); srcSize != pl.SrcSize() {
 			return fmt.Errorf("dsd: update %s element size %d, want %d on %s",
-				e.Name, srcSize, srcP.CSizeOf(e.CType), srcP)
+				e.Name, srcSize, pl.SrcSize(), srcP)
 		}
 		data := u.Data
-		if !convert.FastPath(t.plat, srcP, e.CType, copt) {
+		if !pl.Copy() {
 			var err error
-			if t.conv, _, err = convert.ScalarRun(t.conv[:0], t.plat, u.Data, srcP, e.CType, int(u.Count), copt); err != nil {
+			if t.conv, err = pl.Append(t.conv[:0], u.Data, int(u.Count)); err != nil {
 				return err
 			}
 			data = t.conv
