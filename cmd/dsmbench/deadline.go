@@ -9,6 +9,7 @@ import (
 
 	"hetdsm/internal/apps"
 	"hetdsm/internal/dsd"
+	"hetdsm/internal/flight"
 	"hetdsm/internal/telemetry"
 	"hetdsm/internal/transport"
 )
@@ -130,17 +131,16 @@ func runDeadlineBench(reps int) (*deadlineBenchDoc, error) {
 
 	// Count releases the same way the tracing bench does: one untimed
 	// instrumented run, StageShip spans = releases.
-	spans := telemetry.NewSpanLog(1 << 18)
 	opts := dsd.DefaultOptions()
-	opts.Spans = spans
+	opts.Events = flight.New(0)
 	if _, err := apps.Run(apps.Config{
 		Workload: "matmul", N: deadlineBenchN, Pair: pair,
 		Opts: opts, Seed: 20060814,
 	}); err != nil {
 		return nil, fmt.Errorf("deadline bench (release count): %w", err)
 	}
-	for _, s := range spans.Spans() {
-		if s.Stage == telemetry.StageShip {
+	for _, e := range opts.Events.Filter(flight.KindSpan) {
+		if e.Detail == telemetry.StageShip {
 			doc.Releases++
 		}
 	}

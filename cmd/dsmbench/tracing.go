@@ -13,8 +13,8 @@ import (
 	"hetdsm/internal/telemetry"
 )
 
-// The tracing benchmark: the recorded overhead budget for causal tracing
-// and the flight recorder. Two quantities matter:
+// The tracing benchmark: the recorded overhead budget for the event ring
+// (protocol moments and causal release spans). Two quantities matter:
 //
 //   - the disabled path — a node built without telemetry holds nil
 //     handles, so the only cost tracing adds to every deployment is the
@@ -22,7 +22,7 @@ import (
 //     ≤2% of release time (the budget that justifies compiling the hooks
 //     in unconditionally), derived from measured ns/op of the nil calls
 //     times the calls-per-release count, over the measured release time.
-//   - the enabled path — spans plus flight ring armed, reported as the
+//   - the enabled path — the event ring armed, reported as the
 //     wall-clock ratio against the disabled run. Informative, not gated:
 //     the enabled path is opt-in and its cost shows up in /spans anyway.
 
@@ -34,7 +34,7 @@ type tracingBenchDoc struct {
 	NilSpanNsPerOp float64 `json:"nil_span_ns_per_op"`
 	NilNoteNsPerOp float64 `json:"nil_note_ns_per_op"`
 	// The pipeline's hook counts for one release (sender index/tag/pack/
-	// ship + home unpack/conv/apply spans; grant + epoch flight notes).
+	// ship + home unpack/conv/apply spans; grant + unlock moments).
 	SpanCallsPerRelease int `json:"span_calls_per_release"`
 	NoteCallsPerRelease int `json:"note_calls_per_release"`
 	// Macro: one matmul workload, telemetry off vs on.
@@ -79,14 +79,13 @@ func runTracingBench(reps int) (*tracingBenchDoc, error) {
 
 	// Micro: the disabled hooks. These are what every untelemetried node
 	// pays per call after this PR.
-	var nilSpans *telemetry.SpanLog
-	var nilFlight *flight.Recorder
+	var nilRing *flight.Ring
 	t0 := time.Unix(0, 0)
 	doc.NilSpanNsPerOp = nsPerOp(func() {
-		nilSpans.RecordCtx("n", telemetry.StageShip, 0, 1, 0xbeef, 0x77, t0, time.Microsecond, 64)
+		nilRing.Span("n", telemetry.StageShip, 0, 1, 0xbeef, 0x77, t0, time.Microsecond, 64)
 	})
 	doc.NilNoteNsPerOp = nsPerOp(func() {
-		nilFlight.Note("n", flight.KindGrant, 0, 1, 2)
+		nilRing.Note("n", flight.KindLockGrant, 0, 1, 2, "")
 	})
 
 	// Macro: the same workload with telemetry off and armed.
@@ -96,11 +95,8 @@ func runTracingBench(reps int) (*tracingBenchDoc, error) {
 		releases := 0
 		for i := 0; i < reps; i++ {
 			opts := dsd.DefaultOptions()
-			var spans *telemetry.SpanLog
 			if armed {
-				spans = telemetry.NewSpanLog(1 << 18)
-				opts.Spans = spans
-				opts.Flight = flight.New(4096)
+				opts.Events = flight.New(0)
 			}
 			start := time.Now()
 			_, err := apps.Run(apps.Config{
@@ -112,8 +108,8 @@ func runTracingBench(reps int) (*tracingBenchDoc, error) {
 			}
 			walls = append(walls, time.Since(start))
 			if armed {
-				for _, s := range spans.Spans() {
-					if s.Stage == telemetry.StageShip {
+				for _, e := range opts.Events.Filter(flight.KindSpan) {
+					if e.Detail == telemetry.StageShip {
 						releases++
 					}
 				}
@@ -142,7 +138,7 @@ func runTracingBench(reps int) (*tracingBenchDoc, error) {
 
 // tracing measures the suite and writes the budget file.
 func (h *harness) tracing(out string) {
-	header(fmt.Sprintf("Tracing overhead: nil hooks and armed spans+flight\n(best of %d reps; written to %s)", maxInt(h.reps, 1), out))
+	header(fmt.Sprintf("Tracing overhead: nil hooks and an armed event ring\n(best of %d reps; written to %s)", maxInt(h.reps, 1), out))
 	doc, err := runTracingBench(h.reps)
 	if err != nil {
 		fatal(err)
@@ -164,8 +160,8 @@ func (h *harness) tracing(out string) {
 }
 
 func printTracing(doc *tracingBenchDoc) {
-	fmt.Printf("nil SpanLog.RecordCtx: %.2f ns/op\n", doc.NilSpanNsPerOp)
-	fmt.Printf("nil Recorder.Note:     %.2f ns/op\n", doc.NilNoteNsPerOp)
+	fmt.Printf("nil Ring.Span:         %.2f ns/op\n", doc.NilSpanNsPerOp)
+	fmt.Printf("nil Ring.Note:         %.2f ns/op\n", doc.NilNoteNsPerOp)
 	fmt.Printf("releases measured:     %d (matmul N=%d)\n", doc.Releases, tracingBenchN)
 	fmt.Printf("wall disabled/enabled: %.3f ms / %.3f ms\n",
 		1e3*doc.WallDisabledSeconds, 1e3*doc.WallEnabledSeconds)

@@ -105,15 +105,16 @@ func main() {
 	}
 
 	opTimeoutFlag = *opTimeout
-	kit := telemetry.NewKit(*metrics, *traceOut, *spanOut)
-	// Black-box flight recorder: dumped to stderr on fencing, WAL
-	// crash-recovery, or SIGQUIT (which then re-raises for the usual core).
-	flightRec = flight.New(4096)
-	flightRec.OnTrip(func(reason string, events []flight.Event) {
-		_ = flight.Format(os.Stderr, reason, events)
+	// The node's event ring: served and dumped by the kit, and the black
+	// box dumped to stderr on fencing, WAL crash-recovery, or SIGQUIT
+	// (which then re-raises for the usual core).
+	events = flight.New(0)
+	events.OnTrip(func(reason string, moments []flight.Event) {
+		_ = flight.Format(os.Stderr, reason, moments)
 	})
-	flight.Register(flightRec)
+	flight.Register(events)
 	flight.InstallSIGQUIT(os.Stderr)
+	kit := telemetry.NewKit(*metrics, *traceOut, *spanOut, events)
 	switch *role {
 	case "home":
 		if *shards > 1 {
@@ -134,23 +135,20 @@ func main() {
 	}
 }
 
-// flightRec is the process-wide black-box recorder, built in main before
-// any role runs.
-var flightRec *flight.Recorder
+// events is the process-wide event ring, built in main before any role
+// runs.
+var events *flight.Ring
 
 // opTimeoutFlag is the -op-timeout value, applied by nodeOptions.
 var opTimeoutFlag time.Duration
 
-// nodeOptions is DefaultOptions with the kit's telemetry sinks attached.
+// nodeOptions is DefaultOptions with the kit's registry and the event ring
+// attached.
 func nodeOptions(kit *telemetry.Kit) dsd.Options {
 	opts := dsd.DefaultOptions()
 	opts.Metrics = kit.Registry()
-	opts.Spans = kit.Spans()
-	opts.Flight = flightRec
+	opts.Events = events
 	opts.OpTimeout = opTimeoutFlag
-	if t := kit.TraceLog(); t != nil {
-		opts.Trace = t
-	}
 	return opts
 }
 
@@ -202,7 +200,7 @@ func runHome(listen, backupAddr, walDir string, plat *platform.Platform, gthv ta
 	var err error
 	if walDir != "" {
 		wlog, err = wal.Open(wal.Options{Dir: walDir, GThV: gthv, Metrics: kit.Registry(),
-			Spans: kit.Spans(), Node: "wal", Flight: flightRec})
+			Events: events, Node: "wal"})
 		if err != nil {
 			fail(err)
 		}
@@ -248,7 +246,7 @@ func runHome(listen, backupAddr, walDir string, plat *platform.Platform, gthv ta
 			fail(fmt.Errorf("dialing standby %s: %w", backupAddr, err))
 		}
 		repl := ha.NewReplicator(conn, counters)
-		repl.Spans = kit.Spans()
+		repl.Events = events
 		repl.Node = "replicator"
 		defer repl.Close()
 		if err := home.StartReplication(repl); err != nil {
@@ -264,7 +262,7 @@ func runHome(listen, backupAddr, walDir string, plat *platform.Platform, gthv ta
 		// stack would notice.
 		stall := ha.NewStallDetector(repl, backupAddr, time.Second, 10*time.Second)
 		stall.Counters = counters
-		stall.Trace = kit.TraceLog()
+		stall.Events = events
 		stall.OnStall = func(addr string, reason error) {
 			fmt.Fprintf(os.Stderr, "home: standby %s stalled (%v); degrading to unreplicated\n", addr, reason)
 			repl.Abort(reason)
@@ -578,6 +576,7 @@ func runBackup(listen, replicaListen, homeAddr string, plat *platform.Platform, 
 	counters := &ha.Counters{}
 	counters.Register(kit.Registry())
 	b := ha.NewBackup(gthv)
+	b.Events = events
 	standby, err := ha.NewStandby(nw, b, ha.StandbyConfig{
 		PrimaryAddr:       homeAddr,
 		ReplicaAddr:       replicaListen,

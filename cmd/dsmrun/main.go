@@ -19,10 +19,10 @@ import (
 	"hetdsm/internal/apps"
 	"hetdsm/internal/dir"
 	"hetdsm/internal/dsd"
+	"hetdsm/internal/flight"
 	"hetdsm/internal/ha"
 	"hetdsm/internal/stats"
 	"hetdsm/internal/telemetry"
-	"hetdsm/internal/trace"
 	"hetdsm/internal/vmem"
 )
 
@@ -80,18 +80,13 @@ func main() {
 		// the sever-and-replay.
 		opts.StickyLocks = true
 	}
-	kit := telemetry.NewKit(*metrics, *traceOut, *spanOut)
-	var tlog *trace.Log
-	if *traceN > 0 {
-		tlog = trace.NewLog(*traceN)
-		kit.SetTraceLog(tlog)
+	// One event ring backs -trace, -trace-out, -span-out and the
+	// diagnostics endpoints; without any of them the run records nothing.
+	if *traceN > 0 || *metrics != "" || *traceOut != "" || *spanOut != "" {
+		opts.Events = flight.New(0)
 	}
-	opts.Trace = kit.TraceLog()
-	if opts.Trace == nil {
-		opts.Trace = tlog
-	}
+	kit := telemetry.NewKit(*metrics, *traceOut, *spanOut, opts.Events)
 	opts.Metrics = kit.Registry()
-	opts.Spans = kit.Spans()
 
 	res, err := apps.Run(apps.Config{
 		Workload:         *workload,
@@ -198,11 +193,15 @@ func main() {
 		fmt.Printf("  %-16s index=%v tag=%v pack=%v\n",
 			name, bd[stats.Index], bd[stats.Tag], bd[stats.Pack])
 	}
-	if tlog != nil {
+	if *traceN > 0 {
+		// -trace N shows the last N moments; the rest count as dropped.
+		all := opts.Events.Lines()
+		lines := all[max(0, len(all)-*traceN):]
+		recorded := len(all) + int(opts.Events.Dropped())
 		fmt.Printf("\nlast %d protocol events (%d recorded, %d dropped by the ring):\n",
-			tlog.Len(), tlog.Total(), tlog.Dropped())
-		if err := tlog.Dump(os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "dsmrun:", err)
+			len(lines), recorded, recorded-len(lines))
+		for _, l := range lines {
+			fmt.Println(l)
 		}
 	}
 	if *heatTop > 0 {

@@ -29,8 +29,8 @@ import (
 	"strings"
 	"time"
 
+	"hetdsm/internal/flight"
 	"hetdsm/internal/telemetry"
-	"hetdsm/internal/trace"
 )
 
 func main() {
@@ -52,7 +52,7 @@ func main() {
 	}
 
 	var logs [][]telemetry.Span
-	var events []trace.Event
+	var events []flight.Line
 	client := &http.Client{Timeout: *timeout}
 	for _, addr := range splitList(*nodes) {
 		spans, err := scrapeSpans(client, addr)
@@ -135,7 +135,7 @@ func scrapeSpans(client *http.Client, addr string) ([]telemetry.Span, error) {
 	return decodeSpans(body)
 }
 
-func scrapeTrace(client *http.Client, addr string) ([]trace.Event, error) {
+func scrapeTrace(client *http.Client, addr string) ([]flight.Line, error) {
 	body, err := get(client, addr, "/trace")
 	if err != nil {
 		return nil, err
@@ -169,7 +169,7 @@ func readSpansFile(path string) ([]telemetry.Span, error) {
 	return decodeSpans(f)
 }
 
-func readTraceFile(path string) ([]trace.Event, error) {
+func readTraceFile(path string) ([]flight.Line, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -192,11 +192,11 @@ func decodeSpans(r io.Reader) ([]telemetry.Span, error) {
 	}
 }
 
-func decodeTrace(r io.Reader) ([]trace.Event, error) {
-	var out []trace.Event
+func decodeTrace(r io.Reader) ([]flight.Line, error) {
+	var out []flight.Line
 	dec := json.NewDecoder(bufio.NewReader(r))
 	for {
-		var e trace.Event
+		var e flight.Line
 		if err := dec.Decode(&e); err == io.EOF {
 			return out, nil
 		} else if err != nil {
@@ -262,11 +262,22 @@ type pageStats struct {
 	bytes    int
 }
 
+// namesPage reports whether a moment's mutex operand is a lock, barrier or
+// entry index; fences, epoch adoptions, restarts, migrations and checker
+// verdicts carry epochs and counts there instead.
+func namesPage(k flight.Kind) bool {
+	switch k {
+	case flight.KindFence, flight.KindEpochAdopt, flight.KindRestart, flight.KindMigrate, flight.KindViolation:
+		return false
+	}
+	return true
+}
+
 // writeSeries derives per-page activity from the protocol-event ring:
 // lock grants approximate the page fault rate (each grant precedes the
 // acquirer's pull of the page) and unlock/flush bytes give the diff
 // density each release shipped.
-func writeSeries(path string, events []trace.Event, bucket time.Duration) error {
+func writeSeries(path string, events []flight.Line, bucket time.Duration) error {
 	if bucket <= 0 {
 		bucket = time.Second
 	}
@@ -278,7 +289,7 @@ func writeSeries(path string, events []trace.Event, bucket time.Duration) error 
 	}
 	agg := make(map[pageBucket]*pageStats)
 	for _, e := range events {
-		if e.Mutex < 0 {
+		if e.Mutex < 0 || !namesPage(e.Kind) {
 			continue
 		}
 		key := pageBucket{page: e.Mutex, bucket: int64(e.At.Sub(t0) / bucket)}
@@ -288,9 +299,9 @@ func writeSeries(path string, events []trace.Event, bucket time.Duration) error 
 			agg[key] = st
 		}
 		switch e.Kind {
-		case trace.KindLockGrant:
+		case flight.KindLockGrant:
 			st.grants++
-		case trace.KindUnlock, trace.KindFlush:
+		case flight.KindUnlock, flight.KindFlush:
 			st.releases++
 			st.bytes += e.Bytes
 		}

@@ -19,10 +19,10 @@ func TestTelemetryOffByDefault(t *testing.T) {
 	if opts.Metrics != nil {
 		t.Error("DefaultOptions().Metrics must be nil")
 	}
-	if opts.Spans != nil {
-		t.Error("DefaultOptions().Spans must be nil")
+	if opts.Events != nil {
+		t.Error("DefaultOptions().Events must be nil")
 	}
-	if kit := telemetry.NewKit("", "", ""); kit != nil {
+	if kit := telemetry.NewKit("", "", "", nil); kit != nil {
 		t.Error("NewKit with no outputs must return the disabled (nil) kit")
 	}
 	var disabled *telemetry.Kit
@@ -32,7 +32,7 @@ func TestTelemetryOffByDefault(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Inc()
 		h.Observe(0.001)
-		disabled.Spans().Record("n", telemetry.StageShip, 0, 1, time.Time{}, time.Millisecond, 0)
+		opts.Events.Span("n", telemetry.StageShip, 0, 1, 0, 0, time.Time{}, time.Millisecond, 0)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled telemetry allocated %v per operation set, want 0", allocs)

@@ -51,13 +51,13 @@ import (
 	"hetdsm/internal/apps"
 	"hetdsm/internal/checkpoint"
 	"hetdsm/internal/dsd"
+	"hetdsm/internal/flight"
 	"hetdsm/internal/migio"
 	"hetdsm/internal/migthread"
 	"hetdsm/internal/platform"
 	"hetdsm/internal/sched"
 	"hetdsm/internal/stats"
 	"hetdsm/internal/tag"
-	"hetdsm/internal/trace"
 	"hetdsm/internal/transport"
 	"hetdsm/internal/wire"
 )
@@ -319,16 +319,16 @@ func TCPNetwork() Network { return transport.TCP{} }
 
 // --- Instrumentation ---
 
-// TraceLog is a ring buffer of protocol events; install one via
-// Options.Trace to observe lock grants, releases, barriers, redirects and
-// update applications.
-type TraceLog = trace.Log
+// EventRing is the protocol event ring; install one via Options.Events to
+// observe lock grants, releases, barriers, redirects, update applications
+// and the timed stages of every release.
+type EventRing = flight.Ring
 
-// TraceEvent is one recorded protocol occurrence.
-type TraceEvent = trace.Event
+// RingEvent is one recorded protocol moment or release span.
+type RingEvent = flight.Event
 
-// NewTraceLog returns a ring retaining the last capacity events.
-func NewTraceLog(capacity int) *TraceLog { return trace.NewLog(capacity) }
+// NewEventRing returns a ring retaining the last capacity events.
+func NewEventRing(capacity int) *EventRing { return flight.New(capacity) }
 
 // Breakdown accumulates the Eq. 1 data-sharing cost decomposition.
 type Breakdown = stats.Breakdown

@@ -156,9 +156,9 @@ func TestFacadeMigIO(t *testing.T) {
 // TestFacadeCheckpointAndTrace smoke-tests the checkpoint and trace
 // exports through a tiny traced run.
 func TestFacadeCheckpointAndTrace(t *testing.T) {
-	log := NewTraceLog(64)
+	log := NewEventRing(64)
 	opts := DefaultOptions()
-	opts.Trace = log
+	opts.Events = log
 	gthv := Struct{Name: "G", Fields: []Field{{Name: "x", T: Int()}}}
 	home, err := NewHome(gthv, SolarisSPARC, 1, opts)
 	if err != nil {

@@ -5,8 +5,8 @@ import (
 	"strings"
 	"testing"
 
+	"hetdsm/internal/flight"
 	"hetdsm/internal/platform"
-	"hetdsm/internal/trace"
 )
 
 // record replays a compact script onto a History using the Recorder
@@ -233,18 +233,18 @@ func TestCrossCheckTrace(t *testing.T) {
 		{rank: 0, op: OpBarrierEnter, sync: 0},
 		{rank: 0, op: OpBarrierExit, sync: 0},
 	})
-	full := trace.NewLog(64)
-	full.Record("home", trace.KindLockGrant, 0, 0, 0, "")
-	full.Record("home", trace.KindBarrierArrive, 0, 0, 0, "")
+	full := flight.New(64)
+	full.Note("home", flight.KindLockGrant, 0, 0, 0, "")
+	full.Note("home", flight.KindBarrierArrive, 0, 0, 0, "")
 	if vs := CrossCheckTrace(h.Events(), full); len(vs) != 0 {
 		t.Fatalf("covered history flagged: %v", vs)
 	}
 	// Replays may over-count in the log: still fine.
-	full.Record("home", trace.KindLockGrant, 0, 0, 0, "replay")
+	full.Note("home", flight.KindLockGrant, 0, 0, 0, "replay")
 	if vs := CrossCheckTrace(h.Events(), full); len(vs) != 0 {
 		t.Fatalf("over-counted log flagged: %v", vs)
 	}
-	empty := trace.NewLog(64)
+	empty := flight.New(64)
 	vs := CrossCheckTrace(h.Events(), empty)
 	if len(vs) != 2 {
 		t.Fatalf("missing grants/arrivals not flagged: %v", vs)

@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"hetdsm/internal/convert"
+	"hetdsm/internal/flight"
 	"hetdsm/internal/platform"
-	"hetdsm/internal/trace"
 )
 
 // RoundTripInts verifies that the signed-integer values survive a full
@@ -41,22 +41,22 @@ func RoundTripInts(vals []int64, ct platform.CType, a, b *platform.Platform) err
 }
 
 // CrossCheckTrace reconciles the recorded history against the home-side
-// protocol trace rings: every acquire in the history must be covered by a
-// lock-grant event somewhere in the logs, and every barrier enter by an
-// arrival. The comparison is one-sided (logs may hold MORE events —
+// protocol event rings: every acquire in the history must be covered by a
+// lock-grant event somewhere in the rings, and every barrier enter by an
+// arrival. The comparison is one-sided (rings may hold MORE events —
 // idempotent replays after reconnects re-grant and re-arrive) and is
 // skipped for any ring that overflowed, since a wrapped ring undercounts.
-func CrossCheckTrace(events []Event, logs ...*trace.Log) []Violation {
+func CrossCheckTrace(events []Event, rings ...*flight.Ring) []Violation {
 	grants, arrivals := 0, 0
-	for _, l := range logs {
-		if l == nil {
+	for _, r := range rings {
+		if r == nil {
 			continue
 		}
-		if l.Dropped() > 0 {
+		if r.Dropped() > 0 {
 			return nil // wrapped ring undercounts; nothing sound to assert
 		}
-		grants += len(l.Filter(trace.KindLockGrant))
-		arrivals += len(l.Filter(trace.KindBarrierArrive))
+		grants += len(r.Filter(flight.KindLockGrant))
+		arrivals += len(r.Filter(flight.KindBarrierArrive))
 	}
 	acquires, enters := 0, 0
 	var lastAcquire, lastEnter Event

@@ -140,7 +140,7 @@ func NewCluster(gthv tag.Struct, p *platform.Platform, nthreads int, cfg Config)
 		opts := cl.shardOpts(i)
 		if cfg.WALDir != "" {
 			l, err := wal.Open(wal.Options{Dir: cl.walDir(i), GThV: gthv, Metrics: cfg.Opts.Metrics,
-				Spans: cfg.Opts.Spans, Node: fmt.Sprintf("wal%d", i), Flight: cfg.Opts.Flight})
+				Events: cfg.Opts.Events, Node: fmt.Sprintf("wal%d", i)})
 			if err != nil {
 				return nil, err
 			}
@@ -308,7 +308,7 @@ func (cl *Cluster) migrateEntry(entry int, dst int32) error {
 	if err := dsd.TransferEntry(src, to, entry, func() { cl.dir.PublishEntry(entry, dst) }); err != nil {
 		return err
 	}
-	cl.cfg.Opts.Flight.Note("dir", flight.KindMigrate, cur, uint64(entry), uint64(uint32(dst)))
+	cl.cfg.Opts.Events.Note("dir", flight.KindMigrate, cur, int64(entry), int64(dst), "")
 	if cl.m.enabled {
 		cl.m.migrations.Inc()
 	}
@@ -405,14 +405,13 @@ func (cl *Cluster) RestartShard(i int) error {
 	old.Kill()
 	oldLog.Abandon()
 	l, err := wal.Open(wal.Options{Dir: cl.walDir(i), GThV: cl.gthv, Metrics: cl.cfg.Opts.Metrics,
-		Spans: cl.cfg.Opts.Spans, Node: fmt.Sprintf("wal%d", i), Flight: cl.cfg.Opts.Flight})
+		Events: cl.cfg.Opts.Events, Node: fmt.Sprintf("wal%d", i)})
 	if err != nil {
 		return err
 	}
-	// A crash-restart is a black-box moment: note the new incarnation and
-	// dump the ring so the post-mortem shows what preceded the crash.
-	cl.cfg.Opts.Flight.Note(fmt.Sprintf("shard%d", i), flight.KindRestart, int32(i), l.Epoch(), uint64(l.Replayed()))
-	cl.cfg.Opts.Flight.Trip(fmt.Sprintf("shard %d crash-restarted into epoch %d (%d records replayed)", i, l.Epoch(), l.Replayed()))
+	// A crash-restart is a black-box moment: the reopened log noted the new
+	// incarnation; dump the ring so the post-mortem shows what preceded it.
+	cl.cfg.Opts.Events.Trip(fmt.Sprintf("shard %d crash-restarted into epoch %d (%d records replayed)", i, l.Epoch(), l.Replayed()))
 	h, err := l.RecoverHome(cl.plat, cl.shardOpts(i))
 	if err != nil {
 		return err

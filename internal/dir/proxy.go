@@ -322,10 +322,10 @@ func (px *proxy) callShard(i int, m *wire.Message, want wire.Kind) (*wire.Messag
 func (px *proxy) noteForward(reply *wire.Message) {
 	changed := px.cache.correct(reply.Dir)
 	px.cl.noteForward(changed)
-	if sl := px.cl.cfg.Opts.Spans; sl != nil && px.traceID != 0 {
+	if ev := px.cl.cfg.Opts.Events; ev != nil && px.traceID != 0 {
 		// The wasted hop becomes a forward span on the release's DAG,
 		// parented to the thread's ship span like the home-side chain.
-		sl.RecordCtx(px.nodeName(), telemetry.StageForward, px.rank, 0,
+		ev.Span(px.nodeName(), telemetry.StageForward, px.rank, 0,
 			px.traceID, px.parentSpan, time.Now(), 0, len(reply.Dir))
 	}
 }

@@ -33,7 +33,6 @@ import (
 	"hetdsm/internal/indextable"
 	"hetdsm/internal/platform"
 	"hetdsm/internal/telemetry"
-	"hetdsm/internal/trace"
 	"hetdsm/internal/wire"
 )
 
@@ -55,27 +54,23 @@ type Options struct {
 	// elements, letting large arrays be transferred and converted "as a
 	// whole" (paper Section 4). Zero disables widening.
 	WholeArrayThreshold float64
-	// Trace, when non-nil, records protocol events into the ring buffer
-	// for debugging; nil disables tracing.
-	Trace *trace.Log
 	// Metrics, when non-nil, receives operation histograms (lock-acquire
 	// latency, barrier-wait time, release round-trip, diff/frame sizes)
 	// and protocol counters. nil disables metric recording entirely; the
 	// hot path then takes no timestamps and allocates nothing.
 	Metrics *telemetry.Registry
-	// Spans, when non-nil, receives per-release pipeline span records:
-	// each release is stamped with its (rank, seq) request id and every
-	// stage — index, tag, pack, ship on the sender; unpack, conv, apply
-	// at the home — is recorded against it, so sender-side and home-side
-	// rings merge into a cross-node timeline (telemetry.MergeTimeline).
-	// With spans enabled, threads additionally mint a TraceID per
-	// release and stamp it (plus the ship span's id) on the wire, so the
-	// merged timeline is a causal DAG stitched by ids.
-	Spans *telemetry.SpanLog
-	// Flight, when non-nil, is the black-box flight recorder: grants,
-	// fences, epoch adoptions and restarts are noted into its fixed ring
-	// and dumped on fencing, crash-restart or SIGQUIT. nil disables it.
-	Flight *flight.Recorder
+	// Events, when non-nil, is the node's protocol event ring: every
+	// protocol moment (hello, grant, unlock, barrier, apply, redirect,
+	// fence, epoch adoption, ...) and every per-release pipeline span is
+	// recorded into it by one allocation-free call. Each release is
+	// stamped with its (rank, seq) request id and every stage — index,
+	// tag, pack, ship on the sender; unpack, conv, apply at the home — is
+	// recorded against it, so sender-side and home-side rings merge into a
+	// cross-node timeline (telemetry.MergeTimeline). Threads additionally
+	// mint a TraceID per release and stamp it (plus the ship span's id) on
+	// the wire, so the merged timeline is a causal DAG stitched by ids.
+	// Fencing trips the ring's black-box dump. nil disables all of it.
+	Events *flight.Ring
 	// Protocol selects how the home propagates remote modifications. It
 	// is a home-side setting: threads adopt the home's protocol at
 	// registration.

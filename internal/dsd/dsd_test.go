@@ -6,10 +6,10 @@ import (
 	"testing"
 	"time"
 
+	"hetdsm/internal/flight"
 	"hetdsm/internal/platform"
 	"hetdsm/internal/stats"
 	"hetdsm/internal/tag"
-	"hetdsm/internal/trace"
 	"hetdsm/internal/transport"
 )
 
@@ -562,9 +562,9 @@ func TestRankReregistrationAfterClose(t *testing.T) {
 }
 
 func TestTracingRecordsProtocol(t *testing.T) {
-	log := trace.NewLog(256)
+	log := flight.New(256)
 	opts := DefaultOptions()
-	opts.Trace = log
+	opts.Events = log
 	h, err := NewHome(testGThV(), platform.LinuxX86, 2, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -603,30 +603,30 @@ func TestTracingRecordsProtocol(t *testing.T) {
 	}
 	h.Wait()
 
-	if got := len(log.Filter(trace.KindHello)); got != 2 {
+	if got := len(log.Filter(flight.KindHello)); got != 2 {
 		t.Errorf("hello events = %d, want 2", got)
 	}
-	grants := log.Filter(trace.KindLockGrant)
+	grants := log.Filter(flight.KindLockGrant)
 	if len(grants) != 1 {
 		t.Errorf("lock-grant events = %d, want 1", len(grants))
 	}
-	unlocks := log.Filter(trace.KindUnlock)
-	if len(unlocks) != 1 || unlocks[0].Bytes == 0 {
+	unlocks := log.Filter(flight.KindUnlock)
+	if len(unlocks) != 1 || unlocks[0].B == 0 {
 		t.Errorf("unlock events = %v", unlocks)
 	}
-	if got := len(log.Filter(trace.KindBarrierArrive)); got != 2 {
+	if got := len(log.Filter(flight.KindBarrierArrive)); got != 2 {
 		t.Errorf("barrier arrivals = %d, want 2", got)
 	}
-	if got := len(log.Filter(trace.KindBarrierOpen)); got != 1 {
+	if got := len(log.Filter(flight.KindBarrierOpen)); got != 1 {
 		t.Errorf("barrier opens = %d, want 1", got)
 	}
-	if got := len(log.Filter(trace.KindJoin)); got != 2 {
+	if got := len(log.Filter(flight.KindJoin)); got != 2 {
 		t.Errorf("joins = %d, want 2", got)
 	}
 	// B received A's update at some point: an apply with bytes on B's side.
 	applied := false
-	for _, e := range log.Filter(trace.KindApply) {
-		if e.Rank == 1 && e.Bytes > 0 {
+	for _, e := range log.Filter(flight.KindApply) {
+		if e.Rank == 1 && e.B > 0 {
 			applied = true
 		}
 	}

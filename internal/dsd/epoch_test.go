@@ -142,6 +142,29 @@ func TestHomeFencesOnNewerEpochFrame(t *testing.T) {
 	}
 }
 
+// TestKilledHomeRefusesLateConn serves a conn the listener accepted just
+// before Kill: the dead home must sever it rather than answer pings, or a
+// standby's failure detector keeps hearing pongs and never promotes.
+func TestKilledHomeRefusesLateConn(t *testing.T) {
+	h, err := NewHome(testGThV(), platform.LinuxX86, 1, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Kill()
+	a, b := transport.Pipe()
+	go h.ServeConn(b)
+	ping, err := wire.Encode(&wire.Message{Kind: wire.KindPing, Seq: 1, Rank: -1, Mutex: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.SendFrame(ping); err != nil {
+		return // already severed
+	}
+	if m, err := recvDecoded(a); err == nil && m.Kind == wire.KindPong {
+		t.Fatal("killed home answered a ping")
+	}
+}
+
 // recvDecoded reads and decodes one frame.
 func recvDecoded(c transport.Conn) (*wire.Message, error) {
 	frame, err := c.RecvFrame()

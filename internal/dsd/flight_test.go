@@ -22,7 +22,7 @@ func TestFlightRecordsFenceSequence(t *testing.T) {
 	})
 	opts := DefaultOptions()
 	opts.Epoch = 5
-	opts.Flight = fr
+	opts.Events = fr
 	h, err := NewHome(testGThV(), platform.LinuxX86, 1, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -70,12 +70,12 @@ func TestFlightRecordsFenceSequence(t *testing.T) {
 }
 
 // TestFlightRecordsGrants checks the steady-state event the ring mostly
-// holds: every lock grant lands with mutex and epoch operands, so a
-// post-mortem shows who held what right before the trip.
+// holds: every lock grant lands once, with mutex and payload operands, so
+// a post-mortem shows who held what right before the trip.
 func TestFlightRecordsGrants(t *testing.T) {
 	fr := flight.New(64)
 	opts := DefaultOptions()
-	opts.Flight = fr
+	opts.Events = fr
 	nw := transport.NewInproc()
 	h, err := NewHome(testGThV(), platform.LinuxX86, 1, opts)
 	if err != nil {
@@ -101,13 +101,8 @@ func TestFlightRecordsGrants(t *testing.T) {
 	}
 	h.Wait()
 	h.Close()
-	found := false
-	for _, e := range fr.Snapshot() {
-		if e.Kind == flight.KindGrant && e.Rank == 0 && e.A == 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no grant event recorded: %s", fr.String())
+	grants := fr.Filter(flight.KindLockGrant)
+	if len(grants) != 1 || grants[0].Rank != 0 || grants[0].A != 0 {
+		t.Fatalf("grant events = %+v, want one for rank 0 on mutex 0: %s", grants, fr.String())
 	}
 }

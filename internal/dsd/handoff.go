@@ -5,10 +5,10 @@ import (
 	"maps"
 	"time"
 
+	"hetdsm/internal/flight"
 	"hetdsm/internal/indextable"
 	"hetdsm/internal/platform"
 	"hetdsm/internal/tag"
-	"hetdsm/internal/trace"
 	"hetdsm/internal/transport"
 	"hetdsm/internal/wire"
 )
@@ -58,7 +58,7 @@ func (h *Home) Detach(timeout time.Duration) (*wire.HomeImage, error) {
 	h.frozen = true
 	h.thawed = make(chan struct{})
 	h.mu.Unlock()
-	h.opts.Trace.Record(h.node, trace.KindDetach, -1, -1, 0, "")
+	h.opts.Events.Note(h.node, flight.KindDetach, -1, -1, 0, "")
 
 	deadline := time.Now().Add(timeout)
 	for {
@@ -169,7 +169,7 @@ func (h *Home) redirect(c transport.Conn, rank int32) error {
 	h.mu.Lock()
 	addr := h.redirectAddr
 	h.mu.Unlock()
-	h.opts.Trace.Record(h.node, trace.KindRedirect, rank, -1, 0, addr)
+	h.opts.Events.Note(h.node, flight.KindRedirect, rank, -1, 0, addr)
 	return h.send(c, &wire.Message{Kind: wire.KindRedirect, Rank: rank, Addr: addr})
 }
 

@@ -16,7 +16,6 @@ import (
 	"hetdsm/internal/stats"
 	"hetdsm/internal/tag"
 	"hetdsm/internal/telemetry"
-	"hetdsm/internal/trace"
 	"hetdsm/internal/transport"
 	"hetdsm/internal/vmem"
 	"hetdsm/internal/wire"
@@ -420,9 +419,15 @@ func (h *Home) ServeConn(c transport.Conn) {
 		c = q
 	}
 	h.lmu.Lock()
-	if h.conns != nil {
-		h.conns[c] = true
+	if h.conns == nil {
+		// Killed: a conn accepted just before Kill closed the listener must
+		// not be served, or it would answer pings past the crash and keep
+		// a standby from ever promoting.
+		h.lmu.Unlock()
+		c.Close()
+		return
 	}
+	h.conns[c] = true
 	h.lmu.Unlock()
 	defer func() {
 		h.lmu.Lock()
@@ -652,12 +657,10 @@ func (h *Home) fence(newer uint64) {
 	if already {
 		return
 	}
-	h.opts.Trace.Record(h.node, trace.KindDetach, -1, -1, 0,
-		fmt.Sprintf("fenced: saw epoch %d, own epoch %d", newer, h.epoch))
-	// Fencing is a black-box moment: note it and dump the flight ring so
+	// Fencing is a black-box moment: note it and dump the event ring so
 	// the post-mortem shows the protocol events that led here.
-	h.opts.Flight.Note(h.node, flight.KindFence, -1, newer, h.epoch)
-	h.opts.Flight.Trip(fmt.Sprintf("%s fenced: saw epoch %d, own epoch %d", h.node, newer, h.epoch))
+	h.opts.Events.Note(h.node, flight.KindFence, -1, int64(newer), int64(h.epoch), "")
+	h.opts.Events.Trip(fmt.Sprintf("%s fenced: saw epoch %d, own epoch %d", h.node, newer, h.epoch))
 	h.Kill()
 }
 
@@ -684,7 +687,7 @@ func (h *Home) handshake(c transport.Conn, msg *wire.Message) (*peer, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.opts.Trace.Record(h.node, trace.KindHello, msg.Rank, -1, 0, msg.Platform)
+	h.opts.Events.Note(h.node, flight.KindHello, msg.Rank, -1, 0, plat.Name)
 	p := &peer{rank: msg.Rank, plat: plat, plans: plans}
 	h.mu.Lock()
 	if h.fenced {
@@ -746,8 +749,7 @@ func (h *Home) handleLock(c transport.Conn, p *peer, msg *wire.Message) error {
 	// second thread.
 	h.repFlush()
 	updates, mark := h.peekPending(p)
-	h.opts.Trace.Record(h.node, trace.KindLockGrant, p.rank, msg.Mutex, wire.UpdateBytes(updates), "")
-	h.opts.Flight.Note(h.node, flight.KindGrant, p.rank, uint64(uint32(msg.Mutex)), h.epoch)
+	h.opts.Events.Note(h.node, flight.KindLockGrant, p.rank, int64(msg.Mutex), int64(wire.UpdateBytes(updates)), "")
 	if err := h.send(c, &wire.Message{
 		Kind:     wire.KindLockGrant,
 		Mutex:    msg.Mutex,
@@ -803,7 +805,7 @@ func (h *Home) handleUnlock(c transport.Conn, p *peer, msg *wire.Message) error 
 		}
 		return err
 	}
-	h.opts.Trace.Record(h.node, trace.KindUnlock, p.rank, msg.Mutex, wire.UpdateBytes(msg.Updates), "")
+	h.opts.Events.Note(h.node, flight.KindUnlock, p.rank, int64(msg.Mutex), int64(wire.UpdateBytes(msg.Updates)), "")
 	// Guarding on the holder makes a replayed unlock (re-sent after a
 	// reconnect, already applied via the watermark) a no-op instead of
 	// releasing a mutex some other thread now holds.
@@ -830,7 +832,7 @@ func (h *Home) handleBarrier(c transport.Conn, p *peer, msg *wire.Message) error
 		}
 		return err
 	}
-	h.opts.Trace.Record(h.node, trace.KindBarrierArrive, p.rank, msg.Mutex, wire.UpdateBytes(msg.Updates), "")
+	h.opts.Events.Note(h.node, flight.KindBarrierArrive, p.rank, int64(msg.Mutex), int64(wire.UpdateBytes(msg.Updates)), "")
 	var waitStart time.Time
 	if h.hm.enabled {
 		waitStart = time.Now()
@@ -884,7 +886,7 @@ func (h *Home) handleFlush(c transport.Conn, p *peer, msg *wire.Message) error {
 		}
 		return err
 	}
-	h.opts.Trace.Record(h.node, trace.KindFlush, p.rank, -1, wire.UpdateBytes(msg.Updates), "")
+	h.opts.Events.Note(h.node, flight.KindFlush, p.rank, -1, int64(wire.UpdateBytes(msg.Updates)), "")
 	h.repFlush()
 	return h.send(c, &wire.Message{Kind: wire.KindFlushAck, Rank: p.rank})
 }
@@ -977,7 +979,7 @@ func (h *Home) handleJoin(c transport.Conn, p *peer, msg *wire.Message) error {
 		}
 	}
 	h.mu.Unlock()
-	h.opts.Trace.Record(h.node, trace.KindJoin, p.rank, -1, 0, "")
+	h.opts.Events.Note(h.node, flight.KindJoin, p.rank, -1, 0, "")
 	h.repFlush()
 	return h.send(c, &wire.Message{Kind: wire.KindJoinAck, Rank: p.rank})
 }
@@ -990,7 +992,7 @@ func (h *Home) handleJoin(c transport.Conn, p *peer, msg *wire.Message) error {
 // re-materialized for the replayed request.
 func (h *Home) handleSync(c transport.Conn, p *peer, msg *wire.Message) error {
 	updates, mark := h.peekPending(p)
-	h.opts.Trace.Record(h.node, trace.KindLockGrant, p.rank, -1, wire.UpdateBytes(updates), "sync")
+	h.opts.Events.Note(h.node, flight.KindLockGrant, p.rank, -1, int64(wire.UpdateBytes(updates)), "sync")
 	if err := h.send(c, &wire.Message{
 		Kind:     wire.KindSyncReply,
 		Seq:      msg.Seq,
@@ -1046,8 +1048,7 @@ func (h *Home) sendForward(c transport.Conn, p *peer, msg *wire.Message) error {
 		shard, ver := h.opts.Directory.LockOwner(msg.Mutex)
 		dir = append(dir, wire.DirEntry{Object: msg.Mutex, Lock: true, Shard: shard, Ver: ver})
 	}
-	h.opts.Trace.Record(h.node, trace.KindRedirect, p.rank, msg.Mutex, 0,
-		fmt.Sprintf("dir-forward %v", msg.Kind))
+	h.opts.Events.Note(h.node, flight.KindRedirect, p.rank, int64(msg.Mutex), 0, msg.Kind.String())
 	return h.send(c, &wire.Message{
 		Kind:  wire.KindDirForward,
 		Seq:   msg.Seq,
@@ -1200,7 +1201,7 @@ func (h *Home) arrive(idx, rank int32, reqID uint64) (proceed bool, err error) {
 		clear(bs.ranks)
 		bs.gen = make(chan struct{})
 		h.mu.Unlock()
-		h.opts.Trace.Record(h.node, trace.KindBarrierOpen, -1, idx, 0, "")
+		h.opts.Events.Note(h.node, flight.KindBarrierOpen, -1, int64(idx), 0, "")
 		close(gen)
 		return true, nil
 	}
@@ -1268,13 +1269,13 @@ func (h *Home) applyUpdates(p *peer, msg *wire.Message) error {
 	}
 	convDur := time.Since(start)
 	h.bd.AddBytes(stats.Conv, convDur, convBytes)
-	if h.opts.Spans != nil && msg.Seq != 0 {
-		h.opts.Spans.RecordCtx(h.node, telemetry.StageConv, p.rank, msg.Seq, msg.TraceID,
+	if h.opts.Events != nil && msg.Seq != 0 {
+		h.opts.Events.Span(h.node, telemetry.StageConv, p.rank, msg.Seq, msg.TraceID,
 			telemetry.SpanID(msg.TraceID, h.node, telemetry.StageUnpack, p.rank), start, convDur, convBytes)
 	}
 
 	var applyStart time.Time
-	if h.hm.enabled || h.opts.Spans != nil {
+	if h.hm.enabled || h.opts.Events != nil {
 		applyStart = time.Now()
 	}
 	h.mu.Lock()
@@ -1353,8 +1354,8 @@ func (h *Home) applyUpdates(p *peer, msg *wire.Message) error {
 		h.hm.applies.Inc()
 		h.hm.applyBytes.Observe(float64(convBytes))
 	}
-	if h.opts.Spans != nil && msg.Seq != 0 {
-		h.opts.Spans.RecordCtx(h.node, telemetry.StageApply, p.rank, msg.Seq, msg.TraceID,
+	if h.opts.Events != nil && msg.Seq != 0 {
+		h.opts.Events.Span(h.node, telemetry.StageApply, p.rank, msg.Seq, msg.TraceID,
 			telemetry.SpanID(msg.TraceID, h.node, telemetry.StageConv, p.rank), applyStart, time.Since(applyStart), convBytes)
 	}
 	return nil
@@ -1578,10 +1579,10 @@ func (h *Home) decode(frame []byte, m *wire.Message) (*wire.Message, error) {
 	}
 	unpackDur := time.Since(start)
 	h.bd.AddBytes(stats.Unpack, unpackDur, wire.UpdateBytes(m.Updates))
-	if h.opts.Spans != nil && m.Seq != 0 && len(m.Updates) > 0 {
+	if h.opts.Events != nil && m.Seq != 0 && len(m.Updates) > 0 {
 		// Parent to the sender's ship span, carried on the frame; the rest
 		// of the home-side chain (conv, apply) hangs off this span.
-		h.opts.Spans.RecordCtx(h.node, telemetry.StageUnpack, m.Rank, m.Seq, m.TraceID, m.ParentSpan, start, unpackDur, wire.UpdateBytes(m.Updates))
+		h.opts.Events.Span(h.node, telemetry.StageUnpack, m.Rank, m.Seq, m.TraceID, m.ParentSpan, start, unpackDur, wire.UpdateBytes(m.Updates))
 	}
 	return m, nil
 }

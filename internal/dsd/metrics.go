@@ -86,27 +86,27 @@ type relStages struct {
 // id equals the ParentSpan the send stamped on the wire, so receiver-side
 // spans attach to it without any id exchange.
 func (t *Thread) emitReleaseSpans(m *wire.Message, st relStages, shipStart time.Time, shipDur time.Duration) {
-	sl := t.opts.Spans
-	if sl == nil || m.Seq == 0 {
+	ev := t.opts.Events
+	if ev == nil || m.Seq == 0 {
 		return
 	}
-	node := t.traceName()
+	node := t.node
 	tid := m.TraceID
-	sl.RecordCtx(node, telemetry.StageIndex, t.rank, m.Seq, tid, 0, st.indexStart, st.indexDur, 0)
+	ev.Span(node, telemetry.StageIndex, t.rank, m.Seq, tid, 0, st.indexStart, st.indexDur, 0)
 	parent := telemetry.SpanID(tid, node, telemetry.StageIndex, t.rank)
 	if !st.tagStart.IsZero() {
-		sl.RecordCtx(node, telemetry.StageTag, t.rank, m.Seq, tid, parent, st.tagStart, st.tagDur, 0)
+		ev.Span(node, telemetry.StageTag, t.rank, m.Seq, tid, parent, st.tagStart, st.tagDur, 0)
 		parent = telemetry.SpanID(tid, node, telemetry.StageTag, t.rank)
-		sl.RecordCtx(node, telemetry.StagePack, t.rank, m.Seq, tid, parent, st.packStart, st.packDur, st.bytes)
+		ev.Span(node, telemetry.StagePack, t.rank, m.Seq, tid, parent, st.packStart, st.packDur, st.bytes)
 		parent = telemetry.SpanID(tid, node, telemetry.StagePack, t.rank)
 	}
-	sl.RecordCtx(node, telemetry.StageShip, t.rank, m.Seq, tid, parent, shipStart, shipDur, st.bytes)
+	ev.Span(node, telemetry.StageShip, t.rank, m.Seq, tid, parent, shipStart, shipDur, st.bytes)
 }
 
 // observesReleases reports whether the thread wants release round-trip
-// timestamps (metrics or spans enabled).
+// timestamps (metrics or the event ring enabled).
 func (t *Thread) observesReleases() bool {
-	return t.tm.enabled || t.opts.Spans != nil
+	return t.tm.enabled || t.opts.Events != nil
 }
 
 // finishRelease records the metrics and spans of one completed release.

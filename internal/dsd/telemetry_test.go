@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"hetdsm/internal/flight"
 	"hetdsm/internal/platform"
 	"hetdsm/internal/telemetry"
 )
@@ -14,12 +15,12 @@ import (
 // home with a consistent (rank, seq), and a page-heat report.
 func TestTelemetryEndToEnd(t *testing.T) {
 	reg := telemetry.New()
-	homeSpans := telemetry.NewSpanLog(256)
-	senderSpans := telemetry.NewSpanLog(256)
+	homeSpans := flight.New(256)
+	senderSpans := flight.New(256)
 
 	homeOpts := DefaultOptions()
 	homeOpts.Metrics = reg
-	homeOpts.Spans = homeSpans
+	homeOpts.Events = homeSpans
 	h, err := NewHome(testGThV(), platform.LinuxX86, 2, homeOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +28,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 
 	thOpts := DefaultOptions()
 	thOpts.Metrics = reg
-	thOpts.Spans = senderSpans
+	thOpts.Events = senderSpans
 	plats := []*platform.Platform{platform.SolarisSPARC, platform.LinuxX86}
 	ths := make([]*Thread, len(plats))
 	for i, p := range plats {
@@ -106,7 +107,7 @@ func TestTelemetryEndToEnd(t *testing.T) {
 
 	// Spans: sender and home logs merge into per-release timelines, and
 	// at least one unlock release shows the full seven-stage pipeline.
-	rels := telemetry.MergeTimeline(senderSpans.Spans(), homeSpans.Spans())
+	rels := telemetry.MergeTimeline(telemetry.Spans(senderSpans), telemetry.Spans(homeSpans))
 	if len(rels) == 0 {
 		t.Fatal("no merged releases")
 	}

@@ -14,7 +14,6 @@ import (
 	"hetdsm/internal/stats"
 	"hetdsm/internal/tag"
 	"hetdsm/internal/telemetry"
-	"hetdsm/internal/trace"
 	"hetdsm/internal/transport"
 	"hetdsm/internal/vmem"
 	"hetdsm/internal/wire"
@@ -27,6 +26,9 @@ import (
 type Thread struct {
 	rank int32
 	plat *platform.Platform
+	// node labels this thread's events ("rank-1@linux-x86"), built once so
+	// recording never formats.
+	node string
 	opts Options
 	gthv tag.Struct
 	conn transport.Conn
@@ -133,6 +135,7 @@ func Connect(conn transport.Conn, p *platform.Platform, rank int32, gthv tag.Str
 	t := &Thread{
 		rank:   rank,
 		plat:   p,
+		node:   fmt.Sprintf("rank-%d@%s", rank, p.Name),
 		opts:   opts,
 		gthv:   gthv,
 		conn:   conn,
@@ -316,6 +319,7 @@ func DialHABackoff(nw transport.Network, addrs []string, p *platform.Platform, r
 	t := &Thread{
 		rank:   rank,
 		plat:   p,
+		node:   fmt.Sprintf("rank-%d@%s", rank, p.Name),
 		opts:   opts,
 		gthv:   gthv,
 		conn:   rc,
@@ -336,7 +340,7 @@ func DialHABackoff(nw transport.Network, addrs []string, p *platform.Platform, r
 		if err := t.handshakeOn(c); err != nil {
 			return err
 		}
-		t.opts.Trace.Record(t.traceName(), trace.KindReconnect, t.rank, -1, 0, "")
+		t.opts.Events.Note(t.node, flight.KindReconnect, t.rank, -1, 0, "")
 		return nil
 	}
 	if err := rc.Connect(); err != nil {
@@ -504,7 +508,7 @@ func (t *Thread) followRedirect(addr string) error {
 			}
 		}
 		t.rc.SetAddrs(addrs)
-		t.opts.Trace.Record(t.traceName(), trace.KindRedirect, t.rank, -1, 0, "to "+addr)
+		t.opts.Events.Note(t.node, flight.KindRedirect, t.rank, -1, 0, addr)
 		return nil
 	}
 	if t.nw == nil {
@@ -523,7 +527,7 @@ func (t *Thread) followRedirect(addr string) error {
 	// replica generation numbers. Migration, the supported path, closes
 	// the connection instead and re-registers cold.)
 	t.warm = true
-	t.opts.Trace.Record(t.traceName(), trace.KindRedirect, t.rank, -1, 0, "to "+addr)
+	t.opts.Events.Note(t.node, flight.KindRedirect, t.rank, -1, 0, addr)
 	return t.handshake()
 }
 
@@ -839,15 +843,8 @@ func (t *Thread) applyIncoming(msg *wire.Message) error {
 		}
 	}
 	t.bd.AddBytes(stats.Conv, time.Since(start), convBytes)
-	if t.opts.Trace != nil {
-		t.opts.Trace.Record(t.traceName(), trace.KindApply, t.rank, -1, convBytes, "from "+srcP.Name)
-	}
+	t.opts.Events.Note(t.node, flight.KindApply, t.rank, -1, int64(convBytes), srcP.Name)
 	return nil
-}
-
-// traceName labels this thread's trace events.
-func (t *Thread) traceName() string {
-	return fmt.Sprintf("rank-%d@%s", t.rank, t.plat.Name)
 }
 
 // send encodes (t_pack) and transmits. The sequence number is stamped only
@@ -862,13 +859,13 @@ func (t *Thread) send(m *wire.Message) error {
 func (t *Thread) sendOn(c transport.Conn, m *wire.Message) error {
 	if m.Seq == 0 {
 		m.Seq = t.seq.Add(1)
-		if t.opts.Spans != nil && m.TraceID == 0 {
+		if t.opts.Events != nil && m.TraceID == 0 {
 			// Mint the causal trace context exactly once, alongside the
 			// sequence number: a replayed request keeps its trace identity,
 			// and the receiver parents its spans to our ship span without
 			// the id ever being negotiated.
 			m.TraceID = telemetry.NewTraceID(t.rank)
-			m.ParentSpan = telemetry.SpanID(m.TraceID, t.traceName(), telemetry.StageShip, t.rank)
+			m.ParentSpan = telemetry.SpanID(m.TraceID, t.node, telemetry.StageShip, t.rank)
 		}
 	}
 	// Echo the adopted epoch: a stale home that receives a frame stamped
@@ -985,7 +982,7 @@ func (t *Thread) recvOn(c transport.Conn) (*wire.Message, error) {
 		return nil, fmt.Errorf("dsd: frame from stale epoch %d, already saw %d", m.Epoch, t.homeEpoch)
 	}
 	if m.Epoch > t.homeEpoch {
-		t.opts.Flight.Note(t.traceName(), flight.KindEpochAdopt, t.rank, m.Epoch, t.homeEpoch)
+		t.opts.Events.Note(t.node, flight.KindEpochAdopt, t.rank, int64(m.Epoch), int64(t.homeEpoch), "")
 		t.homeEpoch = m.Epoch
 	}
 	return m, nil

@@ -8,16 +8,16 @@ import (
 	"syscall"
 )
 
-// The process-wide registry lets a SIGQUIT handler dump every recorder a
+// The process-wide registry lets a SIGQUIT handler dump every ring a
 // binary created without threading references through main.
 var (
 	regMu    sync.Mutex
-	registry []*Recorder
+	registry []*Ring
 )
 
-// Register adds a recorder to the process registry dumped by the SIGQUIT
+// Register adds a ring to the process registry dumped by the SIGQUIT
 // handler. No-op on nil.
-func Register(r *Recorder) {
+func Register(r *Ring) {
 	if r == nil {
 		return
 	}
@@ -26,17 +26,17 @@ func Register(r *Recorder) {
 	regMu.Unlock()
 }
 
-// DumpAll writes every registered recorder's dump to w.
+// DumpAll writes every registered ring's dump to w.
 func DumpAll(w io.Writer, reason string) {
 	regMu.Lock()
-	recs := append([]*Recorder(nil), registry...)
+	rings := append([]*Ring(nil), registry...)
 	regMu.Unlock()
-	for _, r := range recs {
+	for _, r := range rings {
 		_ = r.Dump(w, reason)
 	}
 }
 
-// InstallSIGQUIT arranges for SIGQUIT to dump every registered recorder
+// InstallSIGQUIT arranges for SIGQUIT to dump every registered ring
 // to w (stderr when nil) and then deliver the runtime's default SIGQUIT
 // behavior (goroutine dump + exit) by re-raising with the handler reset.
 // Call once from a binary's main.

@@ -5,10 +5,10 @@ import (
 	"sync"
 
 	"hetdsm/internal/dsd"
+	"hetdsm/internal/flight"
 	"hetdsm/internal/indextable"
 	"hetdsm/internal/platform"
 	"hetdsm/internal/tag"
-	"hetdsm/internal/trace"
 	"hetdsm/internal/transport"
 	"hetdsm/internal/wire"
 )
@@ -24,8 +24,8 @@ type Backup struct {
 	gthv tag.Struct
 	// Counters, when set, is shared observability.
 	Counters *Counters
-	// Trace, when non-nil, records promote events.
-	Trace *trace.Log
+	// Events, when non-nil, records promote events.
+	Events *flight.Ring
 
 	mu sync.Mutex
 	// img is the mirror, mutated in place by Apply. img.Epoch is the highest
@@ -263,6 +263,6 @@ func (b *Backup) Promote(p *platform.Platform, opts dsd.Options) (*dsd.Home, err
 	if b.Counters != nil {
 		b.Counters.Failovers.Add(1)
 	}
-	b.Trace.Record("backup@"+p.Name, trace.KindPromote, -1, -1, len(b.img.Image), "")
+	b.Events.Note("backup", flight.KindPromote, -1, -1, int64(len(b.img.Image)), p.Name)
 	return h, nil
 }

@@ -5,7 +5,7 @@ import (
 	"sync"
 	"time"
 
-	"hetdsm/internal/trace"
+	"hetdsm/internal/flight"
 	"hetdsm/internal/transport"
 	"hetdsm/internal/vclock"
 	"hetdsm/internal/wire"
@@ -107,8 +107,8 @@ type Detector struct {
 	View *View
 	// Counters, when set, receives heartbeat/suspicion counts.
 	Counters *Counters
-	// Trace, when non-nil, records suspect events.
-	Trace *trace.Log
+	// Events, when non-nil, records suspect events.
+	Events *flight.Ring
 	// Clock provides probe timing; nil means the system clock. Tests
 	// drive suspicion deterministically with a vclock.Virtual instead of
 	// sleeping past real timeouts.
@@ -219,7 +219,7 @@ func (d *Detector) suspect(reason error) {
 	if d.Counters != nil {
 		d.Counters.Suspicions.Add(1)
 	}
-	d.Trace.Record("detector", trace.KindSuspect, -1, -1, 0, d.addr)
+	d.Events.Note("detector", flight.KindSuspect, -1, -1, 0, d.addr)
 	if d.View != nil {
 		d.View.set(d.addr, StateSuspect)
 	}

@@ -7,10 +7,10 @@ import (
 
 	"hetdsm/internal/apps"
 	"hetdsm/internal/dsd"
+	"hetdsm/internal/flight"
 	"hetdsm/internal/ha"
 	"hetdsm/internal/platform"
 	"hetdsm/internal/tag"
-	"hetdsm/internal/trace"
 	"hetdsm/internal/transport"
 )
 
@@ -20,7 +20,7 @@ import (
 type haHarness struct {
 	nw       transport.Network
 	primary  *dsd.Home
-	ptrace   *trace.Log
+	ptrace   *flight.Ring
 	standby  *ha.Standby
 	repl     *ha.Replicator
 	counters *ha.Counters
@@ -33,10 +33,10 @@ var haAddrs = []string{"primary", "standby"}
 // for the bootstrap record, and starts the failure detector.
 func newHarness(t *testing.T, nw transport.Network, gthv tag.Struct, nthreads int, standbyPlat *platform.Platform) *haHarness {
 	t.Helper()
-	ptrace := trace.NewLog(16384)
+	ptrace := flight.New(1 << 16)
 	opts := dsd.DefaultOptions()
 	opts.StickyLocks = true
-	opts.Trace = ptrace
+	opts.Events = ptrace
 	primary, err := dsd.NewHome(gthv, platform.LinuxX86, nthreads, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -49,7 +49,7 @@ func newHarness(t *testing.T, nw transport.Network, gthv tag.Struct, nthreads in
 
 	counters := &ha.Counters{}
 	backup := ha.NewBackup(gthv)
-	backup.Trace = trace.NewLog(1024)
+	backup.Events = flight.New(1024)
 	standby, err := ha.NewStandby(nw, backup, ha.StandbyConfig{
 		PrimaryAddr:       "primary",
 		ReplicaAddr:       "replica",
@@ -137,7 +137,7 @@ func collectErrs(t *testing.T, errs <-chan error, n int) {
 // barrierEvents counts barrier arrivals and generation openings recorded by
 // the primary.
 func (h *haHarness) barrierEvents() (arrivals, opens int) {
-	return len(h.ptrace.Filter(trace.KindBarrierArrive)), len(h.ptrace.Filter(trace.KindBarrierOpen))
+	return len(h.ptrace.Filter(flight.KindBarrierArrive)), len(h.ptrace.Filter(flight.KindBarrierOpen))
 }
 
 // assertFailoverCounters checks that the chaos run actually exercised the

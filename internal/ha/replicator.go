@@ -5,8 +5,8 @@ import (
 	"sync"
 	"time"
 
+	"hetdsm/internal/flight"
 	"hetdsm/internal/telemetry"
-	"hetdsm/internal/trace"
 	"hetdsm/internal/transport"
 	"hetdsm/internal/wire"
 )
@@ -22,13 +22,12 @@ import (
 type Replicator struct {
 	conn     transport.Conn
 	counters *Counters
-	// Trace, when non-nil, records one event per shipped record.
-	Trace *trace.Log
-	// Spans, when non-nil, receives a replicate span (enqueue → acked)
-	// for every record carrying trace context, parented to the home's
-	// apply span; Node labels them (default "replicator").
-	Spans *telemetry.SpanLog
-	Node  string
+	// Events, when non-nil, records one moment per shipped record and a
+	// replicate span (enqueue → acked) for every record carrying trace
+	// context, parented to the home's apply span; Node labels them
+	// (default "replicator").
+	Events *flight.Ring
+	Node   string
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -65,7 +64,7 @@ func (r *Replicator) Record(rec *wire.Replication) {
 	r.next++
 	rec.Seq = r.next
 	r.queue = append(r.queue, rec)
-	if r.Spans != nil && rec.TraceID != 0 {
+	if r.Events != nil && rec.TraceID != 0 {
 		if r.pending == nil {
 			r.pending = make(map[uint64]pendingSpan)
 		}
@@ -165,7 +164,7 @@ func (r *Replicator) sender() {
 			r.fail(err)
 			return
 		}
-		r.Trace.Record("replicator", trace.KindReplicate, rec.Rank, rec.Mutex, rec.DataBytes(), "")
+		r.Events.Note("replicator", flight.KindReplicate, rec.Rank, int64(rec.Mutex), int64(rec.DataBytes()), "")
 	}
 }
 
@@ -194,7 +193,7 @@ func (r *Replicator) ackReader() {
 		}
 		r.cond.Broadcast()
 		r.mu.Unlock()
-		if len(done) > 0 && r.Spans != nil {
+		if len(done) > 0 && r.Events != nil {
 			node := r.Node
 			if node == "" {
 				node = "replicator"
@@ -202,7 +201,7 @@ func (r *Replicator) ackReader() {
 			sort.Slice(done, func(i, j int) bool { return done[i].rec.Seq < done[j].rec.Seq })
 			now := time.Now()
 			for _, p := range done {
-				r.Spans.RecordCtx(node, telemetry.StageReplicate, p.rec.Rank, 0,
+				r.Events.Span(node, telemetry.StageReplicate, p.rec.Rank, 0,
 					p.rec.TraceID, p.rec.ParentSpan, p.t0, now.Sub(p.t0), wire.UpdateBytes(p.rec.Updates))
 			}
 		}

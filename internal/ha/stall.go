@@ -5,7 +5,7 @@ import (
 	"sync"
 	"time"
 
-	"hetdsm/internal/trace"
+	"hetdsm/internal/flight"
 	"hetdsm/internal/vclock"
 )
 
@@ -39,8 +39,8 @@ type StallDetector struct {
 	View *View
 	// Counters, when set, receives stall counts.
 	Counters *Counters
-	// Trace, when non-nil, records stall events.
-	Trace *trace.Log
+	// Events, when non-nil, records stall events.
+	Events *flight.Ring
 	// Clock provides sample timing; nil means the system clock. Tests
 	// drive stalls deterministically with a vclock.Virtual.
 	Clock vclock.Clock
@@ -129,7 +129,7 @@ func (d *StallDetector) declare(enq, consumed uint64, idle time.Duration) {
 	if d.Counters != nil {
 		d.Counters.Stalls.Add(1)
 	}
-	d.Trace.Record("stall-detector", trace.KindSuspect, -1, -1, int(enq-consumed), d.addr)
+	d.Events.Note("stall-detector", flight.KindSuspect, -1, -1, int64(enq-consumed), d.addr)
 	if d.View != nil {
 		d.View.set(d.addr, StateStalled)
 	}

@@ -88,13 +88,13 @@ func NewStandby(nw transport.Network, b *Backup, cfg StandbyConfig) (*Standby, e
 }
 
 // Start begins probing the primary; on suspicion the backup promotes and
-// serves. Counters and Trace set on the Standby/Backup before Start are
+// serves. Counters and Events set on the Standby/Backup before Start are
 // honored.
 func (s *Standby) Start() {
 	s.det = NewDetector(s.nw, s.cfg.PrimaryAddr, s.cfg.HeartbeatInterval, s.cfg.FailoverTimeout)
 	s.det.Clock = s.cfg.Clock
 	s.det.Counters = s.Counters
-	s.det.Trace = s.Backup.Trace
+	s.det.Events = s.Backup.Events
 	s.det.OnSuspect = func(addr string, reason error) { s.failover() }
 	s.det.Start()
 }

@@ -37,6 +37,9 @@ func TestRegressionSeeds(t *testing.T) {
 			if !a.OK() {
 				t.Errorf("regression seed resurfaced:\n%s", a.Report())
 			}
+			if a.Dropped != 0 {
+				t.Errorf("event ring dropped %d events: the trace cross-check was vacuous", a.Dropped)
+			}
 			b := Run(plan)
 			if !bytes.Equal(a.Canonical, b.Canonical) {
 				t.Errorf("replay of %s diverged from its first run", plan)

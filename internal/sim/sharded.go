@@ -9,10 +9,7 @@ import (
 	"hetdsm/internal/check"
 	"hetdsm/internal/dir"
 	"hetdsm/internal/dsd"
-	"hetdsm/internal/flight"
 	"hetdsm/internal/platform"
-	"hetdsm/internal/telemetry"
-	"hetdsm/internal/trace"
 	"hetdsm/internal/transport"
 	"hetdsm/internal/vclock"
 	"hetdsm/internal/wire"
@@ -34,17 +31,13 @@ func runShardedSim(plan Plan, gm GrammarMix, lay layout, homePlat *platform.Plat
 	frng := rand.New(rand.NewSource(plan.Seed ^ 0x5ca1ab1e))
 	clock := vclock.NewVirtual(time.Time{})
 	hist := check.NewHistory()
-	tlog := trace.NewLog(1 << 16)
+	ring := eventRing(plan)
 	gthv := lay.gthv()
 
 	opts := dsd.DefaultOptions()
 	opts.WholeArrayThreshold = 0
 	opts.StickyLocks = true
-	opts.Trace = tlog
-	spans := telemetry.NewSpanLog(1 << 16)
-	fr := flight.New(4096)
-	opts.Spans = spans
-	opts.Flight = fr
+	opts.Events = ring
 
 	fplan, faultName := faultsFor(plan, lay)
 	nw := transport.NewFaults(transport.NewInproc(), fplan)
@@ -158,15 +151,10 @@ func runShardedSim(plan Plan, gm GrammarMix, lay layout, homePlat *platform.Plat
 	}
 	vs := check.Validate(events, plan.Threads)
 	vs = append(vs, compareMaster(g, events, lay)...)
-	vs = append(vs, check.CrossCheckTrace(events, tlog)...)
+	vs = append(vs, check.CrossCheckTrace(events, ring)...)
 	vs = append(vs, roundTripViolations(events, homePlat, threadPlats)...)
 	res.Violations = vs
-	res.Spans = spans.Spans()
-	if len(res.Violations) > 0 {
-		fr.Note("checker", flight.KindViolation, -1, uint64(len(res.Violations)), 0)
-		fr.Trip(fmt.Sprintf("checker: %d violations (plan %s)", len(res.Violations), plan))
-	}
-	res.FlightDump = fr.String()
+	res.attachEvents(ring)
 	return res
 }
 

@@ -19,7 +19,6 @@ import (
 	"hetdsm/internal/ha"
 	"hetdsm/internal/platform"
 	"hetdsm/internal/telemetry"
-	"hetdsm/internal/trace"
 	"hetdsm/internal/transport"
 	"hetdsm/internal/vclock"
 	"hetdsm/internal/wal"
@@ -49,6 +48,10 @@ type Result struct {
 	// Spans holds every release-pipeline span the run recorded, already
 	// trace-context stitched; dsmsim can export them for dsmtrace.
 	Spans []telemetry.Span
+	// Dropped counts the events the run's ring overwrote. The ring is sized
+	// to hold a whole run, so it is 0 unless a plan outgrows the ceiling;
+	// a nonzero count makes the trace cross-check vacuous.
+	Dropped uint64
 	// FlightDump is the formatted black-box flight-recorder dump of the
 	// run's protocol events; attached to every violation artifact.
 	FlightDump string
@@ -170,7 +173,7 @@ func run(plan Plan) Result {
 	rng := rand.New(rand.NewSource(plan.Seed))
 	clock := vclock.NewVirtual(time.Time{})
 	hist := check.NewHistory()
-	tlog := trace.NewLog(1 << 16)
+	ring := eventRing(plan)
 	gthv := lay.gthv()
 
 	opts := dsd.DefaultOptions()
@@ -179,11 +182,7 @@ func run(plan Plan) Result {
 	opts.WholeArrayThreshold = 0
 	// Sticky locks: all fault profiles reconnect rather than fail-stop.
 	opts.StickyLocks = true
-	opts.Trace = tlog
-	spans := telemetry.NewSpanLog(1 << 16)
-	fr := flight.New(4096)
-	opts.Spans = spans
-	opts.Flight = fr
+	opts.Events = ring
 
 	fplan, faultName := faultsFor(plan, lay)
 	nw := transport.NewFaults(transport.NewInproc(), fplan)
@@ -265,7 +264,7 @@ func run(plan Plan) Result {
 		}
 		repl = ha.NewReplicator(repConn, counters)
 		defer repl.Close()
-		repl.Spans = spans
+		repl.Events = ring
 		repl.Node = "replicator"
 		if err := primary.StartReplication(repl); err != nil {
 			res.Err = err
@@ -290,7 +289,7 @@ func run(plan Plan) Result {
 				return res
 			}
 			defer os.RemoveAll(walDir)
-			wlog, err = wal.Open(wal.Options{Dir: walDir, GThV: gthv, Spans: spans, Node: "wal", Flight: fr})
+			wlog, err = wal.Open(wal.Options{Dir: walDir, GThV: gthv, Events: ring, Node: "wal"})
 			if err != nil {
 				res.Err = err
 				return res
@@ -373,7 +372,7 @@ func run(plan Plan) Result {
 				// record not yet fsynced, exactly what kill -9 loses.
 				primary.Kill()
 				curLog.Abandon()
-				wlog2, err := wal.Open(wal.Options{Dir: walDir, GThV: gthv, Spans: spans, Node: "wal", Flight: fr})
+				wlog2, err := wal.Open(wal.Options{Dir: walDir, GThV: gthv, Events: ring, Node: "wal"})
 				if err != nil {
 					return fmt.Errorf("sim: wal reopen: %w", err)
 				}
@@ -464,16 +463,32 @@ func run(plan Plan) Result {
 	res.Canonical = check.Canonical(events)
 	vs := check.Validate(events, plan.Threads)
 	vs = append(vs, compareMaster(finalHome.Globals(), events, lay)...)
-	vs = append(vs, check.CrossCheckTrace(events, tlog)...)
+	vs = append(vs, check.CrossCheckTrace(events, ring)...)
 	vs = append(vs, roundTripViolations(events, homePlat, threadPlats)...)
 	res.Violations = vs
-	res.Spans = spans.Spans()
-	if len(res.Violations) > 0 {
-		fr.Note("checker", flight.KindViolation, -1, uint64(len(res.Violations)), 0)
-		fr.Trip(fmt.Sprintf("checker: %d violations (plan %s)", len(res.Violations), plan))
-	}
-	res.FlightDump = fr.String()
+	res.attachEvents(ring)
 	return res
+}
+
+// eventRing sizes a run's event ring to hold every moment and span the
+// plan records, so the trace cross-check never reads a wrapped ring. A
+// default plan (3 threads, 25 steps) records at most ~1 400 events across
+// the profiles and grammars, under 20 per thread-step; 64 per thread-step
+// leaves headroom, and the ceiling keeps a maximal plan's ring at ~25 MB.
+func eventRing(p Plan) *flight.Ring {
+	return flight.New(min(1<<18, max(1<<12, 64*p.Steps*p.Threads)))
+}
+
+// attachEvents renders the run's ring into the result: the spans for
+// dsmtrace, the overwrite count, and the black-box dump, which ends with
+// the checker's verdict when the run found violations.
+func (r *Result) attachEvents(ring *flight.Ring) {
+	r.Spans = telemetry.Spans(ring)
+	r.Dropped = ring.Dropped()
+	if len(r.Violations) > 0 {
+		ring.Note("checker", flight.KindViolation, -1, int64(len(r.Violations)), 0, "")
+	}
+	r.FlightDump = ring.String()
 }
 
 // compareMaster checks the final master state (a single home's globals, or

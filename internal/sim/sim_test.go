@@ -39,7 +39,9 @@ func TestRunHeterogeneousMixes(t *testing.T) {
 	}
 }
 
-// TestRunFaultProfiles exercises each fault schedule once.
+// TestRunFaultProfiles exercises each fault schedule once. The run's event
+// ring must hold every event it recorded: a wrapped ring would make the
+// trace cross-check vacuous.
 func TestRunFaultProfiles(t *testing.T) {
 	for _, prof := range Profiles() {
 		prof := prof
@@ -47,6 +49,9 @@ func TestRunFaultProfiles(t *testing.T) {
 			res := Run(NewPlan(3, prof, "SL"))
 			if !res.OK() {
 				t.Fatalf("profile %s:\n%s", prof, res.Report())
+			}
+			if res.Dropped != 0 {
+				t.Fatalf("profile %s: event ring dropped %d events", prof, res.Dropped)
 			}
 		})
 	}

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"testing"
 	"time"
+
+	"hetdsm/internal/flight"
 )
 
 // mkSpan builds one traced span the way the pipeline does: the span id is
@@ -210,12 +212,12 @@ func TestNewTraceIDUniqueAndNonzero(t *testing.T) {
 	}
 }
 
-// TestRecordCtxStampsSpanID confirms the log derives the span id itself,
-// so callers only thread the trace id and parent.
+// TestRecordCtxStampsSpanID confirms the span rendering derives the span id
+// itself, so recorders only thread the trace id and parent.
 func TestRecordCtxStampsSpanID(t *testing.T) {
-	l := NewSpanLog(8)
-	l.RecordCtx("home", StageApply, 1, 5, 0x77, 0x12, time.Unix(0, 100), 30*time.Nanosecond, 64)
-	spans := l.Spans()
+	l := flight.New(8)
+	l.Span("home", StageApply, 1, 5, 0x77, 0x12, time.Unix(0, 100), 30*time.Nanosecond, 64)
+	spans := Spans(l)
 	if len(spans) != 1 {
 		t.Fatalf("got %d spans", len(spans))
 	}

@@ -4,52 +4,39 @@ import (
 	"fmt"
 	"os"
 
-	"hetdsm/internal/trace"
+	"hetdsm/internal/flight"
 )
 
 // Kit bundles the per-node observability plumbing the binaries share: a
-// metrics registry, a release-span ring, a protocol-event ring, the
-// diagnostics HTTP server, and the on-exit JSONL dumps. A nil *Kit is
-// fully disabled — every accessor returns nil and every method is a
-// no-op — so callers thread k.Registry()/k.Spans()/k.TraceLog() into
-// dsd.Options unconditionally.
+// metrics registry, the diagnostics HTTP server, and the on-exit JSONL
+// dumps of the node's event ring. A nil *Kit is fully disabled — every
+// accessor returns nil and every method is a no-op — so callers thread
+// k.Registry() into dsd.Options unconditionally.
 type Kit struct {
 	reg      *Registry
-	spans    *SpanLog
-	tlog     *trace.Log
+	events   *flight.Ring
 	srv      *Server
 	addr     string
 	traceOut string
 	spanOut  string
 }
 
-// NewKit builds the observability stack a node was asked for:
+// NewKit builds the observability stack a node was asked for over its
+// event ring:
 //
-//   - metricsAddr != "": a registry, a span ring and a diagnostics
-//     server on that address (start it with Serve).
-//   - traceOut != "": a protocol-event ring whose contents Close writes
-//     to the file as JSONL.
-//   - spanOut != "": a span ring whose contents Close writes to the
-//     file as JSONL.
+//   - metricsAddr != "": a registry and a diagnostics server on that
+//     address (start it with Serve) whose /trace and /spans read events.
+//   - traceOut != "": Close writes the ring's moments to the file as JSONL.
+//   - spanOut != "": Close writes the ring's spans to the file as JSONL.
 //
-// When every argument is empty NewKit returns nil, the disabled kit.
-func NewKit(metricsAddr, traceOut, spanOut string) *Kit {
+// When every address is empty NewKit returns nil, the disabled kit.
+func NewKit(metricsAddr, traceOut, spanOut string, events *flight.Ring) *Kit {
 	if metricsAddr == "" && traceOut == "" && spanOut == "" {
 		return nil
 	}
-	k := &Kit{addr: metricsAddr, traceOut: traceOut, spanOut: spanOut}
+	k := &Kit{events: events, addr: metricsAddr, traceOut: traceOut, spanOut: spanOut}
 	if metricsAddr != "" {
 		k.reg = New()
-		k.spans = NewSpanLog(0)
-		// The diagnostics server advertises /trace, so the ring backing
-		// it must exist even when no on-exit dump was requested.
-		k.tlog = trace.NewLog(0)
-	}
-	if spanOut != "" && k.spans == nil {
-		k.spans = NewSpanLog(0)
-	}
-	if traceOut != "" && k.tlog == nil {
-		k.tlog = trace.NewLog(0)
 	}
 	return k
 }
@@ -62,32 +49,6 @@ func (k *Kit) Registry() *Registry {
 	return k.reg
 }
 
-// Spans returns the release-span ring (nil when disabled).
-func (k *Kit) Spans() *SpanLog {
-	if k == nil {
-		return nil
-	}
-	return k.spans
-}
-
-// TraceLog returns the protocol-event ring (nil when none was asked
-// for).
-func (k *Kit) TraceLog() *trace.Log {
-	if k == nil {
-		return nil
-	}
-	return k.tlog
-}
-
-// SetTraceLog substitutes an externally-created event ring (dsmrun's
-// -trace flag builds its own), so /trace and -trace-out see it.
-func (k *Kit) SetTraceLog(l *trace.Log) {
-	if k == nil || l == nil {
-		return
-	}
-	k.tlog = l
-}
-
 // Serve starts the diagnostics HTTP server when the kit was built with
 // a metrics address. stats and heat back the /stats and /heat routes
 // and may be nil.
@@ -98,8 +59,7 @@ func (k *Kit) Serve(stats func() map[string]any, heat func() any) error {
 	srv, err := ListenAndServe(k.addr, ServerConfig{
 		Registry: k.reg,
 		Stats:    stats,
-		Trace:    k.tlog,
-		Spans:    k.spans,
+		Events:   k.events,
 		Heat:     heat,
 	})
 	if err != nil {
@@ -132,8 +92,8 @@ func (k *Kit) Close() error {
 			first = err
 		}
 	}
-	dump(k.traceOut, func(f *os.File) error { return k.tlog.DumpJSON(f) })
-	dump(k.spanOut, func(f *os.File) error { return k.spans.DumpJSON(f) })
+	dump(k.traceOut, func(f *os.File) error { return k.events.WriteLines(f) })
+	dump(k.spanOut, func(f *os.File) error { return WriteSpans(f, k.events) })
 	if err := k.srv.Close(); err != nil && first == nil {
 		first = err
 	}

@@ -8,7 +8,7 @@ import (
 	"net/http/pprof"
 	"time"
 
-	"hetdsm/internal/trace"
+	"hetdsm/internal/flight"
 )
 
 // ServerConfig wires a node's diagnostics into the HTTP server. Every
@@ -20,11 +20,9 @@ type ServerConfig struct {
 	// (the same shape the -stats-json flags print), called per request so
 	// a running node serves live numbers.
 	Stats func() map[string]any
-	// Trace backs /trace: the protocol event ring, streamed as JSONL.
-	Trace *trace.Log
-	// Spans backs /spans: the release-pipeline span ring, streamed as
-	// JSONL.
-	Spans *SpanLog
+	// Events backs /trace and /spans: the node's event ring, whose
+	// moments and spans each endpoint streams as JSONL.
+	Events *flight.Ring
 	// Heat backs /heat: it returns the node's page-heat report, called
 	// per request.
 	Heat func() any
@@ -35,8 +33,8 @@ type ServerConfig struct {
 //	/metrics     Prometheus text exposition (counters, gauges,
 //	             histogram buckets and p50/p95/p99 quantiles)
 //	/stats       Eq. 1 breakdown JSON
-//	/trace       protocol event ring as JSONL
-//	/spans       release-pipeline spans as JSONL
+//	/trace       the event ring's protocol moments as JSONL
+//	/spans       the event ring's release-pipeline spans as JSONL
 //	/heat        page-heat report JSON
 //	/debug/pprof Go runtime profiles
 func NewMux(cfg ServerConfig) *http.ServeMux {
@@ -71,13 +69,11 @@ func NewMux(cfg ServerConfig) *http.ServeMux {
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		if cfg.Trace != nil {
-			_ = cfg.Trace.DumpJSON(w)
-		}
+		_ = cfg.Events.WriteLines(w)
 	})
 	mux.HandleFunc("/spans", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		_ = cfg.Spans.DumpJSON(w)
+		_ = WriteSpans(w, cfg.Events)
 	})
 	mux.HandleFunc("/heat", func(w http.ResponseWriter, r *http.Request) {
 		var doc any

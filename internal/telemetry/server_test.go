@@ -9,7 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"hetdsm/internal/trace"
+	"hetdsm/internal/flight"
 )
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string, string) {
@@ -31,17 +31,14 @@ func TestDiagnosticsEndpoints(t *testing.T) {
 	reg.Counter("dsm_locks_total", "locks").Add(2)
 	reg.Histogram("dsm_barrier_wait_seconds", "barrier wait").Observe(0.004)
 
-	tr := trace.NewLog(8)
-	tr.Record("home", trace.KindLockGrant, 1, 0, 0, "")
-
-	spans := NewSpanLog(8)
-	spans.Record("rank-1", StageIndex, 1, 7, time.Unix(1, 0), time.Millisecond, 0)
+	events := flight.New(8)
+	events.Note("home", flight.KindLockGrant, 1, 0, 0, "")
+	events.Span("rank-1", StageIndex, 1, 7, 0, 0, time.Unix(1, 0), time.Millisecond, 0)
 
 	cfg := ServerConfig{
 		Registry: reg,
 		Stats:    func() map[string]any { return map[string]any{"total_seconds": 0.5} },
-		Trace:    tr,
-		Spans:    spans,
+		Events:   events,
 		Heat:     func() any { return map[string]any{"page_size": 4096} },
 	}
 	srv := httptest.NewServer(NewMux(cfg))
@@ -80,16 +77,16 @@ func TestDiagnosticsEndpoints(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/trace status %d", code)
 	}
-	if !strings.Contains(body, `"kind":"lock-grant"`) {
-		t.Errorf("/trace missing event: %s", body)
+	if !strings.Contains(body, `"kind":"lock-grant"`) || strings.Contains(body, "stage") {
+		t.Errorf("/trace must hold the moment and no span: %s", body)
 	}
 
 	code, body, _ = get(t, srv, "/spans")
 	if code != http.StatusOK {
 		t.Fatalf("/spans status %d", code)
 	}
-	if !strings.Contains(body, `"stage":"index"`) {
-		t.Errorf("/spans missing span: %s", body)
+	if !strings.Contains(body, `"stage":"index"`) || strings.Contains(body, "lock-grant") {
+		t.Errorf("/spans must hold the span and no moment: %s", body)
 	}
 
 	code, body, _ = get(t, srv, "/heat")

@@ -4,9 +4,9 @@ import (
 	"bufio"
 	"encoding/json"
 	"io"
-	"sync"
 	"sync/atomic"
-	"time"
+
+	"hetdsm/internal/flight"
 )
 
 // The stages of one release as it moves through the DSD pipeline. The
@@ -133,117 +133,39 @@ func SpanID(traceID uint64, node, stage string, rank int32) uint64 {
 	return h
 }
 
-// SpanLog is a concurrency-safe ring of span records, mirroring
-// trace.Log. A nil *SpanLog is a valid disabled sink. Construct with
-// NewSpanLog.
-type SpanLog struct {
-	mu      sync.Mutex
-	buf     []Span
-	next    uint64 // total spans ever recorded
-	dropped uint64
-}
-
-// NewSpanLog returns a ring holding the last capacity spans.
-func NewSpanLog(capacity int) *SpanLog {
-	if capacity <= 0 {
-		capacity = 4096
-	}
-	return &SpanLog{buf: make([]Span, 0, capacity)}
-}
-
-// Record adds one span without trace context; no-op on a nil receiver.
-func (l *SpanLog) Record(node, stage string, rank int32, seq uint64, start time.Time, d time.Duration, bytes int) {
-	l.RecordCtx(node, stage, rank, seq, 0, 0, start, d, bytes)
-}
-
-// RecordCtx adds one span carrying causal trace context; the span id is
-// derived from (traceID, node, stage, rank). No-op on a nil receiver.
-func (l *SpanLog) RecordCtx(node, stage string, rank int32, seq uint64, traceID, parent uint64, start time.Time, d time.Duration, bytes int) {
-	if l == nil {
-		return
-	}
-	s := Span{
-		Rank:    rank,
-		Seq:     seq,
-		Node:    node,
-		Stage:   stage,
-		Start:   start.UnixNano(),
-		Dur:     int64(d),
-		Bytes:   bytes,
-		TraceID: traceID,
-		SpanID:  SpanID(traceID, node, stage, rank),
-		Parent:  parent,
-	}
-	l.mu.Lock()
-	if len(l.buf) < cap(l.buf) {
-		l.buf = append(l.buf, s)
-	} else {
-		l.buf[int(l.next)%cap(l.buf)] = s
-		l.dropped++
-	}
-	l.next++
-	l.mu.Unlock()
-}
-
-// Len returns the number of retained spans (0 on nil).
-func (l *SpanLog) Len() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buf)
-}
-
-// Total returns the number of spans ever recorded (0 on nil).
-func (l *SpanLog) Total() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next
-}
-
-// Dropped returns how many spans the ring overwrote (0 on nil).
-func (l *SpanLog) Dropped() uint64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.dropped
-}
-
-// Spans returns the retained spans in recording order (nil on nil). The
-// snapshot buffer is allocated before the lock is taken, so recorders on
-// the release hot path only ever contend with two bounded memmoves, never
-// with an allocation or encoding.
-func (l *SpanLog) Spans() []Span {
-	if l == nil {
+// Spans renders the spans retained in the event ring, oldest-first (nil on
+// nil). The slice is sized to what the ring holds: a snapshot can outlive
+// its ring (dsmsim keeps one per run) and must not pin one.
+func Spans(r *flight.Ring) []Span {
+	events := r.Filter(flight.KindSpan)
+	if len(events) == 0 {
 		return nil
 	}
-	// Sized to what is retained, not to the ring's capacity: a snapshot can
-	// outlive its log (dsmsim keeps one per run) and must not pin a ring.
-	out := make([]Span, 0, l.Len())
-	l.mu.Lock()
-	if len(l.buf) < cap(l.buf) {
-		out = append(out, l.buf...)
-	} else {
-		start := int(l.next) % cap(l.buf)
-		out = append(out, l.buf[start:]...)
-		out = append(out, l.buf[:start]...)
+	out := make([]Span, len(events))
+	for i := range events {
+		e := &events[i]
+		out[i] = Span{
+			Rank:    e.Rank,
+			Seq:     e.Seq,
+			Node:    e.Node,
+			Stage:   e.Detail,
+			Start:   e.Start,
+			Dur:     e.Dur,
+			Bytes:   int(e.B),
+			TraceID: e.TraceID,
+			SpanID:  SpanID(e.TraceID, e.Node, e.Detail, e.Rank),
+			Parent:  e.Parent,
+		}
 	}
-	l.mu.Unlock()
 	return out
 }
 
-// DumpJSON writes the retained spans as JSONL, one span per line. The
-// ring is snapshotted first; encoding happens outside any lock and
-// streams span-by-span through a buffered writer, so an HTTP scrape of a
-// full ring neither stalls recorders nor buffers the dump in one blob.
-func (l *SpanLog) DumpJSON(w io.Writer) error {
-	spans := l.Spans()
+// WriteSpans writes the ring's spans as JSONL, one span per line. The ring
+// is snapshotted first; encoding happens outside any lock and streams
+// span-by-span through a buffered writer, so an HTTP scrape of a full ring
+// neither stalls recorders nor buffers the dump in one blob.
+func WriteSpans(w io.Writer, r *flight.Ring) error {
+	spans := Spans(r)
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
 	for i := range spans {

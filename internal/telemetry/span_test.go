@@ -6,58 +6,59 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"hetdsm/internal/flight"
 )
 
+// TestSpanLogRing renders the span log a wrapped ring retains,
+// oldest-first, skipping the protocol moments that share the ring.
 func TestSpanLogRing(t *testing.T) {
-	l := NewSpanLog(3)
+	l := flight.New(4)
 	base := time.Unix(0, 1_000_000)
 	for i := 0; i < 7; i++ {
-		l.Record("n", StagePack, 1, uint64(i+1), base.Add(time.Duration(i)*time.Millisecond), time.Millisecond, i)
+		l.Span("n", StagePack, 1, uint64(i+1), 0, 0, base.Add(time.Duration(i)*time.Millisecond), time.Millisecond, i)
 	}
-	if l.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", l.Len())
+	l.Note("home", flight.KindJoin, 1, -1, 0, "")
+	spans := Spans(l)
+	if len(spans) != 3 {
+		t.Fatalf("rendered %d spans, want 3", len(spans))
 	}
-	if l.Total() != 7 {
-		t.Errorf("Total = %d, want 7", l.Total())
-	}
-	if l.Dropped() != 4 {
-		t.Errorf("Dropped = %d, want 4", l.Dropped())
-	}
-	spans := l.Spans()
 	for i, s := range spans {
 		if want := uint64(5 + i); s.Seq != want {
 			t.Errorf("span %d seq = %d, want %d (oldest-first after wrap)", i, s.Seq, want)
 		}
 	}
 	// A snapshot is sized to what the ring holds, not to its capacity: it
-	// can outlive the log (dsmsim keeps one per run).
-	part := NewSpanLog(1 << 16)
-	part.Record("n", StagePack, 1, 1, base, time.Millisecond, 0)
-	if got := cap(part.Spans()); got != 1 {
+	// can outlive the ring (dsmsim keeps one per run).
+	part := flight.New(1 << 12)
+	part.Note("home", flight.KindHello, 1, -1, 0, "")
+	part.Span("n", StagePack, 1, 1, 0, 0, base, time.Millisecond, 0)
+	if got := cap(Spans(part)); got != 1 {
 		t.Errorf("snapshot of 1 span has capacity %d, want 1", got)
 	}
 }
 
+// TestSpanLogNil renders a nil ring as no spans and an empty stream.
 func TestSpanLogNil(t *testing.T) {
-	var l *SpanLog
-	l.Record("n", StageIndex, 0, 1, time.Now(), time.Millisecond, 0)
-	if l.Len() != 0 || l.Total() != 0 || l.Dropped() != 0 || l.Spans() != nil {
-		t.Error("nil SpanLog must read as empty")
+	var l *flight.Ring
+	l.Span("n", StageIndex, 0, 1, 0, 0, time.Now(), time.Millisecond, 0)
+	if Spans(l) != nil {
+		t.Error("a nil ring must render no spans")
 	}
 	var buf bytes.Buffer
-	if err := l.DumpJSON(&buf); err != nil {
+	if err := WriteSpans(&buf, l); err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
-		t.Errorf("nil SpanLog wrote %q", buf.String())
+		t.Errorf("nil ring wrote %q", buf.String())
 	}
 }
 
 func TestSpanDumpJSONFieldNames(t *testing.T) {
-	l := NewSpanLog(4)
-	l.Record("rank-2@linux-x86", StageShip, 2, 9, time.Unix(10, 0), 3*time.Millisecond, 512)
+	l := flight.New(4)
+	l.Span("rank-2@linux-x86", StageShip, 2, 9, 0, 0, time.Unix(10, 0), 3*time.Millisecond, 512)
 	var buf bytes.Buffer
-	if err := l.DumpJSON(&buf); err != nil {
+	if err := WriteSpans(&buf, l); err != nil {
 		t.Fatal(err)
 	}
 	line := strings.TrimSpace(buf.String())
@@ -77,26 +78,26 @@ func TestSpanDumpJSONFieldNames(t *testing.T) {
 
 func TestMergeTimeline(t *testing.T) {
 	at := func(ms int) time.Time { return time.Unix(0, int64(ms)*1_000_000) }
-	sender := NewSpanLog(16)
-	home := NewSpanLog(16)
+	sender := flight.New(16)
+	home := flight.New(16)
 
 	// Two releases by rank 1 (seq 3 and 4) and one by rank 2 (seq 3):
 	// identical seq on different ranks must stay distinct releases.
 	for _, seq := range []uint64{3, 4} {
 		off := int(seq) * 100
-		sender.Record("rank-1", StageIndex, 1, seq, at(off+0), time.Millisecond, 0)
-		sender.Record("rank-1", StageTag, 1, seq, at(off+1), time.Millisecond, 0)
-		sender.Record("rank-1", StagePack, 1, seq, at(off+2), time.Millisecond, 256)
-		sender.Record("rank-1", StageShip, 1, seq, at(off+3), 5*time.Millisecond, 256)
-		home.Record("home", StageUnpack, 1, seq, at(off+4), time.Millisecond, 256)
-		home.Record("home", StageConv, 1, seq, at(off+5), time.Millisecond, 256)
-		home.Record("home", StageApply, 1, seq, at(off+6), time.Millisecond, 256)
+		sender.Span("rank-1", StageIndex, 1, seq, 0, 0, at(off+0), time.Millisecond, 0)
+		sender.Span("rank-1", StageTag, 1, seq, 0, 0, at(off+1), time.Millisecond, 0)
+		sender.Span("rank-1", StagePack, 1, seq, 0, 0, at(off+2), time.Millisecond, 256)
+		sender.Span("rank-1", StageShip, 1, seq, 0, 0, at(off+3), 5*time.Millisecond, 256)
+		home.Span("home", StageUnpack, 1, seq, 0, 0, at(off+4), time.Millisecond, 256)
+		home.Span("home", StageConv, 1, seq, 0, 0, at(off+5), time.Millisecond, 256)
+		home.Span("home", StageApply, 1, seq, 0, 0, at(off+6), time.Millisecond, 256)
 	}
-	sender.Record("rank-2", StageShip, 2, 3, at(900), time.Millisecond, 0)
+	sender.Span("rank-2", StageShip, 2, 3, 0, 0, at(900), time.Millisecond, 0)
 	// Spans without a release id are metadata, not releases.
-	sender.Record("rank-1", StageShip, 1, 0, at(950), time.Millisecond, 0)
+	sender.Span("rank-1", StageShip, 1, 0, 0, 0, at(950), time.Millisecond, 0)
 
-	rels := MergeTimeline(sender.Spans(), home.Spans())
+	rels := MergeTimeline(Spans(sender), Spans(home))
 	if len(rels) != 3 {
 		t.Fatalf("got %d releases, want 3", len(rels))
 	}

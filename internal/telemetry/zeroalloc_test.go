@@ -3,6 +3,8 @@ package telemetry
 import (
 	"testing"
 	"time"
+
+	"hetdsm/internal/flight"
 )
 
 // TestDisabledPathZeroAlloc pins the central promise of the package: a
@@ -14,7 +16,7 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 		c *Counter
 		g *Gauge
 		h *Histogram
-		l *SpanLog
+		l *flight.Ring
 	)
 	start := time.Unix(0, 0)
 	allocs := testing.AllocsPerRun(1000, func() {
@@ -23,8 +25,8 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 		g.Set(1)
 		g.Add(1)
 		h.Observe(0.001)
-		l.Record("n", StagePack, 1, 1, start, time.Millisecond, 64)
-		l.RecordCtx("n", StageShip, 1, 1, 0xbeef, 0x77, start, time.Millisecond, 64)
+		l.Note("n", flight.KindLockGrant, 1, 0, 64, "")
+		l.Span("n", StageShip, 1, 1, 0xbeef, 0x77, start, time.Millisecond, 64)
 		_ = c.Value()
 		_ = h.Quantile(0.99)
 	})
@@ -53,5 +55,26 @@ func TestEnabledObserveLockFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("enabled Observe/Inc allocated %v per run, want 0", allocs)
+	}
+}
+
+// TestEnabledEventsZeroAlloc guards the installed event ring: recording
+// every kind of moment and every release stage's span allocates nothing,
+// so turning the ring on never adds garbage to the hot path.
+func TestEnabledEventsZeroAlloc(t *testing.T) {
+	r := flight.New(256)
+	start := time.Unix(0, 0)
+	stages := []string{StageIndex, StageTag, StagePack, StageShip, StageUnpack, StageConv,
+		StageApply, StageForward, StageWAL, StageReplicate}
+	allocs := testing.AllocsPerRun(1000, func() {
+		for k := flight.KindHello; k < flight.KindSpan; k++ {
+			r.Note("home@linux-x86", k, 1, 2, 64, "solaris-sparc")
+		}
+		for _, st := range stages {
+			r.Span("rank-1@linux-x86", st, 1, 9, 0xbeef, 0x77, start, time.Millisecond, 64)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("installed ring allocated %v per event set, want 0", allocs)
 	}
 }

@@ -58,15 +58,13 @@ type Options struct {
 	// fsync batch sizes, snapshot compactions, recovery replay length and
 	// the current fencing epoch.
 	Metrics *telemetry.Registry
-	// Spans, when non-nil, receives a wal-fsync span (enqueue → durable)
-	// for every record that carries trace context, parented to the home's
-	// apply span so durability cost shows up on the release's causal DAG.
-	Spans *telemetry.SpanLog
-	// Node labels this log's spans and flight events (default "wal").
+	// Events, when non-nil, receives the log's recovery moment (epoch,
+	// replay length) and a wal-fsync span (enqueue → durable) for every
+	// record that carries trace context, parented to the home's apply span
+	// so durability cost shows up on the release's causal DAG.
+	Events *flight.Ring
+	// Node labels this log's events (default "wal").
 	Node string
-	// Flight, when non-nil, notes recovery events (replay length, epoch
-	// bumps) into the black-box ring.
-	Flight *flight.Recorder
 }
 
 // Log is a write-ahead log for one home node. It implements
@@ -154,7 +152,7 @@ func Open(opts Options) (*Log, error) {
 
 	// The mirror adopted the highest epoch of everything it folded.
 	l.epoch = l.mirror.Epoch() + 1
-	opts.Flight.Note(opts.Node, flight.KindRestart, -1, l.epoch, uint64(l.replayed))
+	opts.Events.Note(opts.Node, flight.KindRestart, -1, int64(l.epoch), int64(l.replayed), "")
 	if l.hadState {
 		// Persist the bump: a RepEpoch record survives a crash before the
 		// next snapshot, so the next restart starts above this epoch even
@@ -290,7 +288,7 @@ func (l *Log) Record(rec *wire.Replication) {
 	l.next++
 	rec.Seq = l.next
 	l.queue = append(l.queue, rec)
-	if l.m.enabled || l.opts.Spans != nil {
+	if l.m.enabled || l.opts.Events != nil {
 		l.qtimes = append(l.qtimes, time.Now())
 	}
 	l.appended++
@@ -346,14 +344,14 @@ func (l *Log) writer() {
 				l.m.appendLatency.Observe(now.Sub(t0).Seconds())
 			}
 		}
-		if l.opts.Spans != nil {
+		if l.opts.Events != nil {
 			// One wal-fsync span per traced record: enqueue → durable,
 			// parented to the apply span the record carried.
 			for i, rec := range batch {
 				if rec.TraceID == 0 || i >= len(times) {
 					continue
 				}
-				l.opts.Spans.RecordCtx(l.opts.Node, telemetry.StageWAL, rec.Rank, 0,
+				l.opts.Events.Span(l.opts.Node, telemetry.StageWAL, rec.Rank, 0,
 					rec.TraceID, rec.ParentSpan, times[i], now.Sub(times[i]), wire.UpdateBytes(rec.Updates))
 			}
 		}
