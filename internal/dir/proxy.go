@@ -105,10 +105,6 @@ func (cl *Cluster) serveProxy(c transport.Conn) {
 			err = px.doFetch(c, msg)
 		case wire.KindJoinReq:
 			err = px.doJoin(c, msg)
-		case wire.KindLockAck:
-			// The thread acks its grant after applying it; the granting
-			// shard was already acked directly, so absorb this one.
-			err = nil
 		case wire.KindPing:
 			err = px.sendThread(c, &wire.Message{Kind: wire.KindPong, Seq: msg.Seq, Rank: msg.Rank})
 		default:
@@ -416,14 +412,7 @@ func (px *proxy) flushSplit(updates []wire.Update, exclude int32) ([]wire.Update
 			if len(part) == 0 {
 				continue
 			}
-			req := &wire.Message{
-				Kind:     wire.KindFlushReq,
-				Seq:      px.nextSeq(),
-				Rank:     px.rank,
-				Platform: px.threadPlat,
-				Base:     px.threadBase,
-				Updates:  part,
-			}
+			req := &wire.Message{Kind: wire.KindFlushReq, Seq: px.nextSeq(), Rank: px.rank, Updates: part}
 			reply, err := px.callShard(int(i), req, wire.KindFlushAck)
 			if err != nil {
 				return nil, err
@@ -461,22 +450,18 @@ func (px *proxy) doLock(c transport.Conn, msg *wire.Message) error {
 		grant = reply
 		break
 	}
-	// Ack the grant right away: it is safe in proxy memory and the thread
-	// pipe is reliable, so the shard can commit its pending-queue drain.
-	// Best-effort — a lost ack just re-materializes the drain later.
-	px.sendShard(owner, &wire.Message{Kind: wire.KindLockAck, Seq: px.nextSeq(), Mutex: msg.Mutex, Rank: px.rank})
+	// The grant needs no ack: the gather's sync request is this proxy's
+	// next request to the owner shard, and it commits the grant's drain.
 	extra, err := px.gather()
 	if err != nil {
 		return err
 	}
 	return px.sendThread(c, &wire.Message{
-		Kind:     wire.KindLockGrant,
-		Seq:      msg.Seq,
-		Mutex:    msg.Mutex,
-		Rank:     px.rank,
-		Platform: px.homePlat,
-		Base:     px.homeBase,
-		Updates:  append(grant.Updates, extra...),
+		Kind:    wire.KindLockGrant,
+		Seq:     msg.Seq,
+		Mutex:   msg.Mutex,
+		Rank:    px.rank,
+		Updates: append(grant.Updates, extra...),
 	})
 }
 
@@ -488,15 +473,7 @@ func (px *proxy) doUnlock(c transport.Conn, msg *wire.Message) error {
 		if err != nil {
 			return err
 		}
-		req := &wire.Message{
-			Kind:     wire.KindUnlockReq,
-			Seq:      px.nextSeq(),
-			Mutex:    msg.Mutex,
-			Rank:     px.rank,
-			Platform: px.threadPlat,
-			Base:     px.threadBase,
-			Updates:  keep,
-		}
+		req := &wire.Message{Kind: wire.KindUnlockReq, Seq: px.nextSeq(), Mutex: msg.Mutex, Rank: px.rank, Updates: keep}
 		start := time.Now()
 		reply, err := px.callShard(int(owner), req, wire.KindUnlockAck)
 		if err != nil {
@@ -523,15 +500,7 @@ func (px *proxy) doBarrier(c transport.Conn, msg *wire.Message) error {
 		if err != nil {
 			return err
 		}
-		req := &wire.Message{
-			Kind:     wire.KindBarrierReq,
-			Seq:      px.nextSeq(),
-			Mutex:    msg.Mutex,
-			Rank:     px.rank,
-			Platform: px.threadPlat,
-			Base:     px.threadBase,
-			Updates:  keep,
-		}
+		req := &wire.Message{Kind: wire.KindBarrierReq, Seq: px.nextSeq(), Mutex: msg.Mutex, Rank: px.rank, Updates: keep}
 		start := time.Now()
 		reply, err := px.callShard(owner, req, wire.KindBarrierRelease)
 		if err != nil {
@@ -553,13 +522,11 @@ func (px *proxy) doBarrier(c transport.Conn, msg *wire.Message) error {
 			return err
 		}
 		return px.sendThread(c, &wire.Message{
-			Kind:     wire.KindBarrierRelease,
-			Seq:      msg.Seq,
-			Mutex:    msg.Mutex,
-			Rank:     px.rank,
-			Platform: px.homePlat,
-			Base:     px.homeBase,
-			Updates:  append(reply.Updates, extra...),
+			Kind:    wire.KindBarrierRelease,
+			Seq:     msg.Seq,
+			Mutex:   msg.Mutex,
+			Rank:    px.rank,
+			Updates: append(reply.Updates, extra...),
 		})
 	}
 }
@@ -578,13 +545,7 @@ func (px *proxy) doJoin(c transport.Conn, msg *wire.Message) error {
 	// Every shard counts joins toward its own done condition, so each one
 	// must hear from every rank.
 	for i := range px.conns {
-		req := &wire.Message{
-			Kind:     wire.KindJoinReq,
-			Seq:      px.nextSeq(),
-			Rank:     px.rank,
-			Platform: px.threadPlat,
-			Base:     px.threadBase,
-		}
+		req := &wire.Message{Kind: wire.KindJoinReq, Seq: px.nextSeq(), Rank: px.rank}
 		reply, err := px.callShard(i, req, wire.KindJoinAck)
 		if err != nil {
 			return err
@@ -628,12 +589,5 @@ func (px *proxy) doFetch(c transport.Conn, msg *wire.Message) error {
 		}
 		work = redo
 	}
-	return px.sendThread(c, &wire.Message{
-		Kind:     wire.KindFetchReply,
-		Seq:      msg.Seq,
-		Rank:     px.rank,
-		Platform: px.homePlat,
-		Base:     px.homeBase,
-		Updates:  got,
-	})
+	return px.sendThread(c, &wire.Message{Kind: wire.KindFetchReply, Seq: msg.Seq, Rank: px.rank, Updates: got})
 }

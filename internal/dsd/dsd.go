@@ -83,7 +83,7 @@ type Options struct {
 	// OpTimeout bounds each attempt of a synchronization operation (lock,
 	// unlock, barrier, flush, join, fetch): sends and receives carry real
 	// socket deadlines, the remaining budget is stamped on the wire so the
-	// home bounds its own blocking (the grant-ack wait), and an expired
+	// home bounds its own blocking (a shard's sync-ack wait), and an expired
 	// attempt severs the connection and retries idempotently through the
 	// HA redial path. The home additionally bounds each peer's outbound
 	// queue, shedding grants to slow consumers instead of wedging the stub.

@@ -97,8 +97,8 @@ type Home struct {
 	// queues tracks the bounded per-peer outbound queues (OpTimeout > 0
 	// only) by rank, for /stats and the dsm_transport_queue_depth gauge.
 	queues map[int32]*transport.SendQueue
-	// deadlineHits counts budget-bounded home-side waits (grant acks, sync
-	// acks) that expired on the requester's own stamped budget.
+	// deadlineHits counts budget-bounded home-side waits (the sync ack of a
+	// sharded acquire) that expired on the requester's own stamped budget.
 	deadlineHits atomic.Uint64
 }
 
@@ -121,17 +121,17 @@ type Replicator interface {
 type peer struct {
 	rank int32
 	plat *platform.Platform
-	// pendOpen/pendMark/pendSeq track a barrier release in flight: the
-	// drain of the pending queue (first pendMark raw spans) commits only
-	// once a later request (Seq > pendSeq) proves the release arrived.
-	// Barrier releases carry no ack, so this is their delivery receipt.
+	// pendOpen/pendMark/pendSeq track a grant or barrier release in
+	// flight: the drain of the pending queue (first pendMark raw spans)
+	// commits only once a later request (Seq > pendSeq) proves the reply
+	// arrived. Neither reply has an ack, so this is its delivery receipt.
 	pendOpen bool
 	pendMark int
 	pendSeq  uint64
 
 	// Scratch the peer's stub goroutine owns and reuses, so a steady-state
-	// release or grant allocates only its encoded frame: ack receives the
-	// grant and sync acks, convs and conv hold a release's converted
+	// release or grant allocates only its encoded frame: ack receives sync
+	// acks, convs and conv hold a release's converted
 	// updates, others the ranks its spans are queued for, and grant,
 	// grantUps and grantData a materialized grant. plans convert each
 	// entry from the peer's representation to ours, pointers translated.
@@ -481,8 +481,9 @@ func (h *Home) ServeConn(c transport.Conn) {
 			return
 		}
 		if p.pendOpen && msg.Seq > p.pendSeq {
-			// A later request proves the in-flight barrier release was
-			// processed; its pending-queue drain is now safe to commit.
+			// A later request proves the in-flight grant or barrier
+			// release was processed; its pending-queue drain is now safe
+			// to commit.
 			h.commitPending(p, p.pendMark)
 			p.pendOpen = false
 		}
@@ -517,9 +518,6 @@ func (h *Home) ServeConn(c transport.Conn) {
 			err = h.handleJoin(c, p, msg)
 		case wire.KindSyncReq:
 			err = h.handleSync(c, p, msg)
-		case wire.KindLockAck:
-			// A grant ack that lost its race with a reconnect lands on
-			// the fresh stub; the grant was delivered, so ignore it.
 		case wire.KindPing:
 			err = h.send(c, &wire.Message{Kind: wire.KindPong, Seq: msg.Seq, Rank: msg.Rank})
 		default:
@@ -748,16 +746,7 @@ func (h *Home) handleLock(c transport.Conn, p *peer, msg *wire.Message) error {
 	// its critical section, or a failover could hand the mutex to a
 	// second thread.
 	h.repFlush()
-	updates, mark := h.peekPending(p)
-	h.opts.Events.Note(h.node, flight.KindLockGrant, p.rank, int64(msg.Mutex), int64(wire.UpdateBytes(updates)), "")
-	if err := h.send(c, &wire.Message{
-		Kind:     wire.KindLockGrant,
-		Mutex:    msg.Mutex,
-		Rank:     p.rank,
-		Platform: h.plat.Name,
-		Base:     h.table.Base(),
-		Updates:  updates,
-	}); err != nil {
+	if err := h.sendPending(c, p, wire.KindLockGrant, msg.Mutex, msg.Seq); err != nil {
 		// The grantee vanished; put the lock back so others proceed.
 		// Under StickyLocks the disconnect is presumed transient: the
 		// grantee keeps the mutex and its replayed request is re-granted
@@ -767,23 +756,6 @@ func (h *Home) handleLock(c transport.Conn, p *peer, msg *wire.Message) error {
 		}
 		return err
 	}
-	// The ack wait is bounded by the requester's own budget: if its
-	// deadline passes, it has already severed the conn and will replay the
-	// lock request — waiting longer only pins the grant state.
-	ack, err := h.recvBudget(c, msg.DeadlineMS, &p.ack)
-	if err != nil {
-		if !h.opts.StickyLocks {
-			h.releaseIfHolder(msg.Mutex, p.rank)
-		}
-		return err
-	}
-	if ack.Kind != wire.KindLockAck {
-		if !h.opts.StickyLocks {
-			h.releaseIfHolder(msg.Mutex, p.rank)
-		}
-		return fmt.Errorf("dsd: expected lock-ack, got %v", ack.Kind)
-	}
-	h.commitPending(p, mark)
 	return nil
 }
 
@@ -821,7 +793,7 @@ func (h *Home) handleBarrier(c transport.Conn, p *peer, msg *wire.Message) error
 		// would wait for peers that have long moved on, so answer with a
 		// release straight away. The pending queue holds everything the
 		// rank has not yet acknowledged seeing.
-		return h.sendBarrierRelease(c, p, msg.Mutex, msg.Seq)
+		return h.sendPending(c, p, wire.KindBarrierRelease, msg.Mutex, msg.Seq)
 	}
 	if err := h.applyUpdates(p, msg); err != nil {
 		if err == errMoved {
@@ -851,28 +823,24 @@ func (h *Home) handleBarrier(c transport.Conn, p *peer, msg *wire.Message) error
 		return h.redirect(c, p.rank)
 	}
 	h.repFlush()
-	return h.sendBarrierRelease(c, p, msg.Mutex, msg.Seq)
+	return h.sendPending(c, p, wire.KindBarrierRelease, msg.Mutex, msg.Seq)
 }
 
-// sendBarrierRelease ships a barrier release carrying the rank's pending
-// updates. The queue drain is not committed here: releases carry no ack,
-// so the drain commits when the rank's next request (Seq > reqSeq) proves
-// this release was processed; until then a replayed arrival re-delivers.
-func (h *Home) sendBarrierRelease(c transport.Conn, p *peer, mutex int32, reqSeq uint64) error {
+// sendPending answers a lock or barrier request (kind is the grant or the
+// release) with the rank's pending updates. Neither reply has an ack, so
+// the queue drain is not committed here: it commits when the rank's next
+// request (Seq > reqSeq) proves the reply was processed, and until then a
+// replayed request, which carries the same Seq, is answered from the
+// undrained queue again.
+func (h *Home) sendPending(c transport.Conn, p *peer, kind wire.Kind, mutex int32, reqSeq uint64) error {
 	updates, mark := h.peekPending(p)
-	if err := h.send(c, &wire.Message{
-		Kind:     wire.KindBarrierRelease,
-		Mutex:    mutex,
-		Rank:     p.rank,
-		Platform: h.plat.Name,
-		Base:     h.table.Base(),
-		Updates:  updates,
-	}); err != nil {
+	if kind == wire.KindLockGrant {
+		h.opts.Events.Note(h.node, flight.KindLockGrant, p.rank, int64(mutex), int64(wire.UpdateBytes(updates)), "")
+	}
+	if err := h.send(c, &wire.Message{Kind: kind, Mutex: mutex, Rank: p.rank, Updates: updates}); err != nil {
 		return err
 	}
-	p.pendOpen = true
-	p.pendMark = mark
-	p.pendSeq = reqSeq
+	p.pendOpen, p.pendMark, p.pendSeq = true, mark, reqSeq
 	return nil
 }
 
@@ -943,13 +911,7 @@ func (h *Home) handleFetch(c transport.Conn, p *peer, msg *wire.Message) error {
 	}
 	h.mu.Unlock()
 	h.bd.AddBytes(stats.Pack, time.Since(packStart), packBytes)
-	return h.send(c, &wire.Message{
-		Kind:     wire.KindFetchReply,
-		Rank:     p.rank,
-		Platform: h.plat.Name,
-		Base:     h.table.Base(),
-		Updates:  updates,
-	})
+	return h.send(c, &wire.Message{Kind: wire.KindFetchReply, Rank: p.rank, Updates: updates})
 }
 
 func (h *Home) handleJoin(c transport.Conn, p *peer, msg *wire.Message) error {
@@ -993,14 +955,7 @@ func (h *Home) handleJoin(c transport.Conn, p *peer, msg *wire.Message) error {
 func (h *Home) handleSync(c transport.Conn, p *peer, msg *wire.Message) error {
 	updates, mark := h.peekPending(p)
 	h.opts.Events.Note(h.node, flight.KindLockGrant, p.rank, -1, int64(wire.UpdateBytes(updates)), "sync")
-	if err := h.send(c, &wire.Message{
-		Kind:     wire.KindSyncReply,
-		Seq:      msg.Seq,
-		Rank:     p.rank,
-		Platform: h.plat.Name,
-		Base:     h.table.Base(),
-		Updates:  updates,
-	}); err != nil {
+	if err := h.send(c, &wire.Message{Kind: wire.KindSyncReply, Seq: msg.Seq, Rank: p.rank, Updates: updates}); err != nil {
 		return err
 	}
 	ack, err := h.recvBudget(c, msg.DeadlineMS, &p.ack)
@@ -1434,7 +1389,7 @@ func (h *Home) peekPending(p *peer) ([]wire.Update, int) {
 
 // commitPending drains the first mark raw entries of a rank's pending
 // queue — the prefix a prior peekPending materialized — now that their
-// delivery is confirmed (lock-ack received, or a later request arrived).
+// delivery is confirmed (a later request arrived, or a sync ack).
 func (h *Home) commitPending(p *peer, mark int) {
 	h.mu.Lock()
 	// In place: every reader of a queue copies it under h.mu, so the

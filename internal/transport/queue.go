@@ -132,7 +132,7 @@ func (q *SendQueue) SendFrameDeadline(frame []byte, _ time.Time) error {
 }
 
 // RecvFrameDeadline implements DeadlineConn by forwarding to the wrapped
-// conn, so budget-bounded waits (the home's grant-ack wait) work through
+// conn, so budget-bounded waits (a home shard's sync-ack wait) work through
 // the queue.
 func (q *SendQueue) RecvFrameDeadline(deadline time.Time) ([]byte, error) {
 	return RecvFrameDeadline(q.conn, deadline)

@@ -15,6 +15,7 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -190,7 +191,10 @@ func (l *Log) replayLog() error {
 	}
 	good := 0
 	for {
-		rec, n := unframe(data[good:])
+		rec, n, err := unframe(data[good:])
+		if err != nil {
+			return fmt.Errorf("wal: %s: %w", logName, err)
+		}
 		if rec == nil {
 			break
 		}
@@ -235,25 +239,30 @@ func frame(rec *wire.Replication) []byte {
 
 // unframe parses the record framed at the start of data and reports how
 // many bytes it spans. A torn, corrupt or undecodable frame yields nil:
-// garbage is never replayed.
-func unframe(data []byte) (*wire.Replication, int) {
+// garbage is never replayed. An intact record in another encoding version
+// is an error instead: that file is not garbage, and truncating it as a
+// torn tail would destroy it.
+func unframe(data []byte) (*wire.Replication, int, error) {
 	if len(data) < frameHeader {
-		return nil, 0
+		return nil, 0, nil
 	}
 	n := int(binary.BigEndian.Uint32(data))
 	sum := binary.BigEndian.Uint32(data[4:])
 	if n <= 0 || n > wire.MaxFrame || frameHeader+n > len(data) {
-		return nil, 0 // torn: length field or payload incomplete
+		return nil, 0, nil // torn: length field or payload incomplete
 	}
 	payload := data[frameHeader : frameHeader+n]
 	if crc32.ChecksumIEEE(payload) != sum {
-		return nil, 0
+		return nil, 0, nil
 	}
 	rec, err := wire.DecodeReplication(payload)
-	if err != nil {
-		return nil, 0
+	if errors.Is(err, wire.ErrVersion) {
+		return nil, 0, err
 	}
-	return rec, frameHeader + n
+	if err != nil {
+		return nil, 0, nil
+	}
+	return rec, frameHeader + n, nil
 }
 
 // readSnap loads a file holding exactly one framed RepInit record: wal.snap
@@ -263,7 +272,10 @@ func readSnap(path string) (*wire.Replication, error) {
 	if err != nil {
 		return nil, err
 	}
-	rec, n := unframe(data)
+	rec, n, err := unframe(data)
+	if err != nil {
+		return nil, fmt.Errorf("wal: %s: %w", path, err)
+	}
 	if rec == nil || n != len(data) || rec.Event != wire.RepInit || rec.Home == nil {
 		return nil, fmt.Errorf("wal: %s is not one intact %v record", path, wire.RepInit)
 	}

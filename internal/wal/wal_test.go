@@ -1,9 +1,13 @@
 package wal
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"hetdsm/internal/dsd"
@@ -96,6 +100,43 @@ func TestRecordFlushReplay(t *testing.T) {
 	}
 	if l2.Epoch() <= l.Epoch() {
 		t.Fatalf("reopen epoch %d not above previous %d", l2.Epoch(), l.Epoch())
+	}
+}
+
+// TestOpenRefusesFixedWidthRecords: a log or snapshot holding a record in
+// the unversioned fixed-width encoding the varint codec replaced is refused
+// with an error naming the version. It is neither misparsed nor truncated
+// away as a torn tail.
+func TestOpenRefusesFixedWidthRecords(t *testing.T) {
+	rec := binary.BigEndian.AppendUint64(nil, 1) // seq
+	rec = append(rec, byte(wire.RepLock))
+	rec = binary.BigEndian.AppendUint32(rec, 1) // rank
+	rec = binary.BigEndian.AppendUint32(rec, 0) // mutex
+	rec = append(rec, 0)                        // no home image
+	rec = binary.BigEndian.AppendUint32(rec, 0) // no updates
+	rec = binary.BigEndian.AppendUint32(rec, 0) // no marks
+	rec = binary.BigEndian.AppendUint64(rec, 1) // epoch
+	rec = binary.BigEndian.AppendUint64(rec, 0) // trace id
+	rec = binary.BigEndian.AppendUint64(rec, 0) // parent span
+	framed := binary.BigEndian.AppendUint32(nil, uint32(len(rec)))
+	framed = binary.BigEndian.AppendUint32(framed, crc32.ChecksumIEEE(rec))
+	framed = append(framed, rec...)
+	for _, name := range []string{logName, snapName} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, framed, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		l, err := Open(Options{Dir: dir, GThV: testGThV()})
+		if err == nil {
+			l.Close()
+		}
+		if !errors.Is(err, wire.ErrVersion) || !strings.Contains(err.Error(), "version 0") {
+			t.Errorf("%s in the fixed-width encoding: Open error %v, want one naming version 0", name, err)
+		}
+		if got, _ := os.ReadFile(path); !bytes.Equal(got, framed) {
+			t.Errorf("%s was modified by the refused Open", name)
+		}
 	}
 }
 

@@ -2,8 +2,31 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
+	"slices"
 	"testing"
 )
+
+// fullMessage populates every Message field, a replication record with a
+// home image included, so a seed of each kind walks every field's codec.
+func fullMessage(k Kind) *Message {
+	return &Message{
+		Kind: k, Seq: 1 << 40, Rank: -1, Mutex: 7, Platform: "solaris-sparc", Base: 0x40058000,
+		Updates: []Update{{Entry: 1, First: 300, Count: 2, Tag: "(4,2)", Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}}},
+		State:   &ThreadState{PC: -9, FrameTag: "(8,1)(0,0)", Frame: make([]byte, 8), ExtraTag: "(1,2)", Extra: []byte{1, 2}},
+		Err:     "moved", Addr: "home2", Proto: 1, Flags: FlagWarmReplica, Epoch: 3,
+		Rep: &Replication{
+			Seq: 2, Event: RepInit, Rank: -1, Mutex: -1, Home: sampleHomeImage(),
+			Updates: []Update{{Entry: 1, First: 0, Count: 1, Data: []byte{0, 0, 0, 7}}},
+			Marks:   []RepPair{{Rank: 1, Seq: 8}}, Epoch: 3, TraceID: 5, ParentSpan: 6,
+		},
+		Shard:   -1,
+		Dir:     []DirEntry{{Object: 5, Shard: 1, Ver: 9}, {Object: 0, Lock: true, Shard: 2, Ver: 4}},
+		Heat:    []HeatSample{{Page: 7, Faults: 12}},
+		TraceID: math.MaxUint64, ParentSpan: 11, DeadlineMS: math.MaxUint32,
+	}
+}
 
 // FuzzDecode exercises the frame parser with arbitrary bytes (run with
 // `go test -fuzz=FuzzDecode ./internal/wire`); in normal test runs the
@@ -27,6 +50,12 @@ func FuzzDecode(f *testing.F) {
 			Updates: []Update{{Entry: 1, First: 0, Count: 1, Data: []byte{0, 0, 0, 7}}},
 		}},
 	}
+	// Every kind, minimal and with every field populated.
+	for k := KindHello; k < numKinds; k++ {
+		if k.sendable() {
+			seeds = append(seeds, &Message{Kind: k}, fullMessage(k))
+		}
+	}
 	for _, m := range seeds {
 		b, err := Encode(m)
 		if err != nil {
@@ -36,6 +65,21 @@ func FuzzDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0x00, 0x01})
+	lock, err := Encode(&Message{Kind: KindLockReq, Seq: 9, Rank: 1, Epoch: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	other := slices.Clone(lock)
+	other[1] = Version + 1
+	f.Add(other)                                    // another encoding version
+	f.Add([]byte{byte(kindLockAck), Version, 0})    // the retired lock ack
+	f.Add([]byte{byte(KindLockReq), Version, 0x80}) // truncated bitmap
+	seq := []byte{byte(KindLockReq), Version, byte(fSeq)}
+	f.Add(append(slices.Clone(seq), 0x80))                                              // truncated varint
+	f.Add(append(slices.Clone(seq), bytes.Repeat([]byte{0xFF}, 9)...))                  // truncated at 9 bytes
+	f.Add(append(append(slices.Clone(seq), bytes.Repeat([]byte{0xFF}, 9)...), 0x02))    // past 64 bits
+	f.Add(append(append(slices.Clone(seq), bytes.Repeat([]byte{0x80}, 10)...), 0x00))   // 11-byte varint
+	f.Add(binary.AppendUvarint([]byte{byte(KindLockReq), Version, byte(fRank)}, 1<<33)) // rank past 32 bits
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)

@@ -157,91 +157,73 @@ func sortedKeys[V any](m map[int32]V) []int32 {
 	return keys
 }
 
-// appendMap encodes a rank- or mutex-keyed map in key order; val appends
-// one value.
-func appendMap[V any](buf []byte, m map[int32]V, val func([]byte, V) []byte) []byte {
-	buf = be32(buf, uint32(len(m)))
+// encodeMap writes a rank- or mutex-keyed map in key order; val writes one
+// value.
+func encodeMap[V any](e *encoder, m map[int32]V, val func(V)) {
+	e.uvarint(uint64(len(m)))
 	for _, k := range sortedKeys(m) {
-		buf = val(be32(buf, uint32(k)), m[k])
+		e.varint(int64(k))
+		val(m[k])
 	}
-	return buf
 }
 
-func appendHome(buf []byte, im *HomeImage) []byte {
-	member := func(b []byte, _ bool) []byte { return b } // a set: the key is all
-	buf = appendString(buf, im.Platform)
-	buf = be64(buf, im.Base)
-	buf = appendBytes(buf, im.Image)
-	buf = appendString(buf, im.Tag)
-	buf = appendBool(buf, im.Dirty)
-	buf = append(buf, im.Proto)
-	buf = be32(buf, uint32(im.Nthreads))
-	buf = be64(buf, im.Epoch)
-	buf = appendMap(buf, im.Held, func(b []byte, holder int32) []byte { return be32(b, uint32(holder)) })
-	buf = appendMap(buf, im.Joined, member)
-	buf = appendMap(buf, im.Applied, be64)
-	buf = appendMap(buf, im.Released, be64)
-	buf = appendMap(buf, im.Pending, func(b []byte, spans []indextable.Span) []byte {
-		b = be32(b, uint32(len(spans)))
+func (e *encoder) home(im *HomeImage) {
+	member := func(bool) {} // a set: the key is all
+	e.str(im.Platform)
+	e.uvarint(im.Base)
+	e.bytes(im.Image)
+	e.str(im.Tag)
+	e.flag(im.Dirty)
+	e.u8(im.Proto)
+	e.varint(int64(im.Nthreads))
+	e.uvarint(im.Epoch)
+	encodeMap(e, im.Held, func(holder int32) { e.varint(int64(holder)) })
+	encodeMap(e, im.Joined, member)
+	encodeMap(e, im.Applied, e.uvarint)
+	encodeMap(e, im.Released, e.uvarint)
+	encodeMap(e, im.Pending, func(spans []indextable.Span) {
+		e.uvarint(uint64(len(spans)))
 		for _, s := range spans {
-			b = be32(b, uint32(int32(s.Entry)))
-			b = be32(b, uint32(int32(s.First)))
-			b = be32(b, uint32(int32(s.Count)))
+			e.varint(int64(s.Entry))
+			e.varint(int64(s.First))
+			e.varint(int64(s.Count))
 		}
-		return b
 	})
-	return appendMap(buf, im.Known, member)
+	encodeMap(e, im.Known, member)
 }
 
-// decodeMap is appendMap's inverse; an empty map decodes as nil.
-func decodeMap[V any](d *decoder, what string, val func() V) map[int32]V {
-	n := d.count(what)
+// decodeMap is encodeMap's inverse; an empty map decodes as nil. An entry
+// takes at least minSize bytes.
+func decodeMap[V any](d *decoder, what string, minSize int, val func() V) map[int32]V {
+	n := d.count(what, minSize)
 	if n == 0 {
 		return nil
 	}
-	m := make(map[int32]V)
+	m := make(map[int32]V, n)
 	for ; n > 0 && d.err == nil; n-- {
-		k := int32(d.u32())
+		k := d.i32()
 		m[k] = val()
 	}
 	return m
 }
 
-// count reads a list length, refusing implausible ones. Lists then grow as
-// elements actually decode, so a corrupt count allocates nothing.
-func (d *decoder) count(what string) int {
-	n := int(d.u32())
-	if d.err == nil && n > maxRepEntries {
-		d.err = fmt.Errorf("wire: implausible %s count %d", what, n)
-		return 0
-	}
-	return n
-}
-
 func (d *decoder) home() *HomeImage {
 	member := func() bool { return true }
-	im := &HomeImage{}
-	im.Platform = d.str()
-	im.Base = d.u64()
-	im.Image = d.bytes()
-	im.Tag = d.str()
-	im.Dirty = d.u8() == 1
-	im.Proto = d.u8()
-	im.Nthreads = int32(d.u32())
-	im.Epoch = d.u64()
-	im.Held = decodeMap(d, "held", func() int32 { return int32(d.u32()) })
-	im.Joined = decodeMap(d, "joined", member)
-	im.Applied = decodeMap(d, "applied", d.u64)
-	im.Released = decodeMap(d, "released", d.u64)
-	im.Pending = decodeMap(d, "pending", func() []indextable.Span {
+	im := &HomeImage{
+		Platform: d.str(), Base: d.uvarint(), Image: d.bytes(), Tag: d.str(),
+		Dirty: d.u8() == 1, Proto: d.u8(), Nthreads: d.i32(), Epoch: d.uvarint(),
+	}
+	im.Held = decodeMap(d, "held", 2, d.i32)
+	im.Joined = decodeMap(d, "joined", 1, member)
+	im.Applied = decodeMap(d, "applied", 2, d.uvarint)
+	im.Released = decodeMap(d, "released", 2, d.uvarint)
+	im.Pending = decodeMap(d, "pending", 2, func() []indextable.Span {
 		var spans []indextable.Span
-		for n := d.count("pending-span"); n > 0 && d.err == nil; n-- {
-			spans = append(spans, indextable.Span{
-				Entry: int(int32(d.u32())), First: int(int32(d.u32())), Count: int(int32(d.u32())),
-			})
+		for n := d.count("pending-span", 3); n > 0 && d.err == nil; n-- {
+			spans = append(spans, indextable.Span{Entry: int(d.i32()), First: int(d.i32()), Count: int(d.i32())})
 		}
 		return spans
 	})
-	im.Known = decodeMap(d, "known", member)
+	im.Known = decodeMap(d, "known", 1, member)
 	return im
 }

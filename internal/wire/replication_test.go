@@ -1,7 +1,10 @@
 package wire
 
 import (
+	"encoding/binary"
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"hetdsm/internal/indextable"
@@ -91,6 +94,31 @@ func TestEncodeDecodeReplicationAck(t *testing.T) {
 	}
 	if !reflect.DeepEqual(m, got) {
 		t.Errorf("ack round trip mismatch:\n got %+v %+v\nwant %+v %+v", got, got.Rep, m, m.Rep)
+	}
+}
+
+// TestDecodeReplicationRefusesFixedWidth: a record in the fixed-width
+// encoding this one replaced, as write-ahead logs and cluster cuts hold
+// it, is refused by version rather than misparsed.
+func TestDecodeReplicationRefusesFixedWidth(t *testing.T) {
+	rec := binary.BigEndian.AppendUint64(nil, 7) // seq
+	rec = append(rec, byte(RepLock))
+	rec = binary.BigEndian.AppendUint32(rec, 1) // rank
+	rec = binary.BigEndian.AppendUint32(rec, 0) // mutex
+	rec = append(rec, 0)                        // no home image
+	rec = binary.BigEndian.AppendUint32(rec, 0) // no updates
+	rec = binary.BigEndian.AppendUint32(rec, 0) // no marks
+	rec = binary.BigEndian.AppendUint64(rec, 1) // epoch
+	rec = binary.BigEndian.AppendUint64(rec, 0) // trace id
+	rec = binary.BigEndian.AppendUint64(rec, 0) // parent span
+	_, err := DecodeReplication(rec)
+	if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), "version 0") {
+		t.Fatalf("fixed-width record: err %v, want ErrVersion naming version 0", err)
+	}
+	want := &Replication{Seq: 7, Event: RepLock, Rank: 1, Epoch: 1}
+	got, err := DecodeReplication(EncodeReplication(want))
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("versioned record round trip: %+v, %v", got, err)
 	}
 }
 

@@ -2,8 +2,13 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -109,13 +114,107 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 	if _, err := Decode(bad); err == nil {
 		t.Error("zero kind decoded successfully")
 	}
-	// Implausible update count.
-	bad2 := append([]byte{}, b...)
-	// Update count sits after kind(1)+seq(8)+rank(4)+mutex(4)+strlen(4)+str+base(8).
-	off := 1 + 8 + 4 + 4 + 4 + len(m.Platform) + 8
-	copy(bad2[off:], []byte{0xFF, 0xFF, 0xFF, 0xFF})
-	if _, err := Decode(bad2); err == nil {
-		t.Error("implausible update count decoded successfully")
+	// Implausible update counts, and one the frame cannot hold.
+	for _, n := range []uint64{1 << 40, 1000} {
+		bad := binary.AppendUvarint([]byte{byte(KindUnlockReq), Version, byte(fUpdates)}, n)
+		if _, err := Decode(bad); err == nil {
+			t.Errorf("update count %d in a %d-byte frame decoded successfully", n, len(bad))
+		}
+	}
+	// Field bits past the last field.
+	if _, err := Decode(binary.AppendUvarint([]byte{byte(KindLockReq), Version}, fAll+1)); err == nil {
+		t.Error("unknown field bit decoded successfully")
+	}
+}
+
+// A frame in another encoding version is refused by version, not
+// misparsed: the fixed-width encoding this one replaced has the zero top
+// byte of its sequence number where the version byte now sits.
+func TestDecodeRejectsOtherVersions(t *testing.T) {
+	frame, err := Encode(sampleMessage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []byte{0, Version + 1, 0xFF} {
+		bad := slices.Clone(frame)
+		bad[1] = v
+		_, err := Decode(bad)
+		if !errors.Is(err, ErrVersion) || !strings.Contains(err.Error(), fmt.Sprintf("version %d", v)) {
+			t.Errorf("version %d frame: err %v, want ErrVersion naming the version", v, err)
+		}
+	}
+}
+
+// TestKindBytesStable pins every kind's number. It is the frame's first
+// byte, which fault plans aim at (transport.FaultPlan.Kinds, the sim's
+// lost-reply profiles and their golden schedules), so a number never moves
+// and is never reused: the retired lock ack keeps 5, and both codec
+// directions refuse it.
+func TestKindBytesStable(t *testing.T) {
+	pinned := []struct {
+		k Kind
+		b byte
+	}{
+		{KindHello, 1}, {KindHelloAck, 2}, {KindLockReq, 3}, {KindLockGrant, 4},
+		{KindUnlockReq, 6}, {KindUnlockAck, 7}, {KindBarrierReq, 8}, {KindBarrierRelease, 9},
+		{KindJoinReq, 10}, {KindJoinAck, 11}, {KindMigrate, 12}, {KindMigrateAck, 13},
+		{KindFlushReq, 14}, {KindFlushAck, 15}, {KindRedirect, 16}, {KindFetchReq, 17},
+		{KindFetchReply, 18}, {KindPing, 19}, {KindPong, 20}, {KindReplicate, 21},
+		{KindReplicateAck, 22}, {KindSyncReq, 23}, {KindSyncReply, 24}, {KindSyncAck, 25},
+		{KindDirForward, 26},
+	}
+	if len(pinned) != int(numKinds)-2 {
+		t.Fatalf("%d kinds pinned, %d sendable: pin the new kind's byte here", len(pinned), numKinds-2)
+	}
+	for _, p := range pinned {
+		if byte(p.k) != p.b {
+			t.Errorf("%v is %d, pinned at %d", p.k, byte(p.k), p.b)
+		}
+		for _, m := range []*Message{{Kind: p.k}, fullMessage(p.k)} {
+			frame, err := Encode(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if frame[0] != p.b || frame[1] != Version {
+				t.Errorf("%v frame starts % x, want %02x %02x", p.k, frame[:2], p.b, Version)
+			}
+		}
+	}
+	if kindLockAck != 5 {
+		t.Errorf("the retired lock ack moved to %d", kindLockAck)
+	}
+	if _, err := Encode(&Message{Kind: kindLockAck}); err == nil {
+		t.Error("the retired lock ack encoded")
+	}
+	if _, err := Decode([]byte{byte(kindLockAck), Version, 0}); err == nil {
+		t.Error("a retired lock-ack frame decoded")
+	}
+}
+
+// TestSyncFrameSizes pins the header floor: kind, version and bitmap
+// bytes, then a byte or two per non-zero field.
+func TestSyncFrameSizes(t *testing.T) {
+	for _, c := range []struct {
+		m    *Message
+		want int
+	}{
+		{&Message{Kind: KindLockReq, Seq: 1, Rank: 1, Epoch: 1}, 6},
+		{&Message{Kind: KindLockGrant, Rank: 1, Mutex: 3, Epoch: 1}, 6},
+		{&Message{Kind: KindUnlockAck, Rank: -1, Epoch: 1}, 5},
+		// 7 header bytes (Seq 300 takes two), then a count byte and 14 for
+		// the update: three span varints, "(4,1)" and 4 data bytes, each
+		// with its length.
+		{&Message{Kind: KindUnlockReq, Seq: 300, Rank: 1, Epoch: 1, Updates: []Update{
+			{Entry: 1, First: 10, Count: 1, Tag: "(4,1)", Data: []byte{0, 0, 0, 7}},
+		}}, 22},
+	} {
+		b, err := Encode(c.m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(b) != c.want {
+			t.Errorf("%v: %d bytes (% x), want %d", c.m.Kind, len(b), b, c.want)
+		}
 	}
 }
 
@@ -159,13 +258,20 @@ func TestKindStrings(t *testing.T) {
 
 // randomMessage builds an arbitrary valid message for round-trip fuzzing.
 func randomMessage(r *rand.Rand) *Message {
+	k := Kind(1 + r.Intn(int(numKinds)-1))
+	if !k.sendable() {
+		k = KindLockGrant
+	}
 	m := &Message{
-		Kind:     Kind(1 + r.Intn(int(numKinds)-1)),
-		Seq:      r.Uint64(),
-		Rank:     int32(r.Intn(100)),
-		Mutex:    int32(r.Intn(100)),
-		Platform: []string{"linux-x86", "solaris-sparc", ""}[r.Intn(3)],
-		Base:     r.Uint64(),
+		Kind:       k,
+		Seq:        r.Uint64() >> r.Intn(64),
+		Rank:       int32(r.Intn(100)) - 1,
+		Mutex:      int32(r.Intn(100)),
+		Platform:   []string{"linux-x86", "solaris-sparc", ""}[r.Intn(3)],
+		Base:       r.Uint64(),
+		Epoch:      uint64(r.Intn(3)),
+		TraceID:    r.Uint64() >> r.Intn(64),
+		DeadlineMS: uint32(r.Intn(3)) * 250,
 	}
 	for i := 0; i < r.Intn(5); i++ {
 		n := r.Intn(64)
@@ -319,7 +425,7 @@ func TestQuickEncodeDeterministic(t *testing.T) {
 // grows and re-copies it.
 func TestEncodeSizesFrameExactly(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
-	msgs := []*Message{sampleMessage(), {Kind: KindJoinReq, Rank: 3}}
+	msgs := []*Message{sampleMessage(), {Kind: KindJoinReq, Rank: 3}, fullMessage(KindReplicate)}
 	for i := 0; i < 200; i++ {
 		msgs = append(msgs, randomMessage(r))
 	}
@@ -328,9 +434,12 @@ func TestEncodeSizesFrameExactly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if m.Rep == nil && cap(b) != len(b) {
+		if cap(b) != len(b) {
 			t.Errorf("%v frame: %d bytes in a %d-byte buffer", m.Kind, len(b), cap(b))
 		}
+	}
+	if rec := EncodeReplication(fullMessage(KindReplicate).Rep); cap(rec) != len(rec) {
+		t.Errorf("replication record: %d bytes in a %d-byte buffer", len(rec), cap(rec))
 	}
 }
 
