@@ -156,7 +156,7 @@ func runDeadlineBench(reps int) (*deadlineBenchDoc, error) {
 
 // deadline measures the suite and writes the budget file.
 func (h *harness) deadline(out string) {
-	header(fmt.Sprintf("Deadline-plane overhead: OpTimeout unset vs armed-but-idle\n(best of %d reps; written to %s)", maxInt(h.reps, 1), out))
+	header(fmt.Sprintf("Deadline-plane overhead: OpTimeout unset vs armed-but-idle\n(best of %d reps; written to %s)", max(h.reps, 1), out))
 	doc, err := runDeadlineBench(h.reps)
 	if err != nil {
 		fatal(err)

@@ -41,9 +41,6 @@ func main() {
 		sizesFlag = flag.String("sizes", "99,138,177,216,255", "comma-separated matrix sizes")
 		repsFlag  = flag.Int("reps", 1, "repetitions per configuration (medians reported)")
 		verify    = flag.Bool("verify", false, "verify every distributed result against a sequential run")
-		shardFlag = flag.Bool("sharding", false, "run the 1-vs-N-shard benchmark and write the baseline file")
-		shardOut  = flag.String("sharding-out", "BENCH_sharding.json", "output path for -sharding")
-		shardChk  = flag.String("sharding-check", "", "re-run the sharding suite and fail on >10% Cshare regression vs this baseline file")
 		traceFlag = flag.Bool("tracing", false, "measure tracing/flight-recorder overhead and write the budget file")
 		traceOut  = flag.String("tracing-out", "BENCH_tracing.json", "output path for -tracing")
 		traceChk  = flag.String("tracing-check", "", "re-measure tracing overhead and fail if the disabled path exceeds 2% vs this baseline file")
@@ -91,10 +88,6 @@ func main() {
 		h.ext()
 	case *ablFlag:
 		h.ablation()
-	case *shardFlag:
-		h.sharding(*shardOut)
-	case *shardChk != "":
-		h.shardingCheck(*shardChk)
 	case *traceFlag:
 		h.tracing(*traceOut)
 	case *traceChk != "":

@@ -138,7 +138,7 @@ func runTracingBench(reps int) (*tracingBenchDoc, error) {
 
 // tracing measures the suite and writes the budget file.
 func (h *harness) tracing(out string) {
-	header(fmt.Sprintf("Tracing overhead: nil hooks and an armed event ring\n(best of %d reps; written to %s)", maxInt(h.reps, 1), out))
+	header(fmt.Sprintf("Tracing overhead: nil hooks and an armed event ring\n(best of %d reps; written to %s)", max(h.reps, 1), out))
 	doc, err := runTracingBench(h.reps)
 	if err != nil {
 		fatal(err)

@@ -55,7 +55,6 @@ import (
 	"time"
 
 	"hetdsm/internal/apps"
-	"hetdsm/internal/dir"
 	"hetdsm/internal/dsd"
 	"hetdsm/internal/flight"
 	"hetdsm/internal/ha"
@@ -86,8 +85,6 @@ func main() {
 		failover  = flag.Duration("failover-timeout", 0, "backup: suspicion timeout (default 4 heartbeats)")
 		statsJSON = flag.Bool("stats-json", false, "dump Eq. 1 stats and HA counters as JSON on exit")
 		walDir    = flag.String("wal-dir", "", "home: write-ahead log directory; if it holds prior state the home restarts from it")
-		shards    = flag.Int("shards", 1, "home: shard count; >1 serves a multi-home sharded directory gateway on -listen")
-		migThresh = flag.Uint64("migrate-threshold", 0, "home: per-entry fault total that triggers heat-driven re-homing (0 disables; needs -shards > 1)")
 		opTimeout = flag.Duration("op-timeout", 0, "bound each sync-operation attempt; expired attempts sever the connection and retry idempotently (0 disables the deadline plane)")
 		metrics   = flag.String("metrics-addr", "", "serve diagnostics HTTP on host:port (/metrics /stats /trace /spans /heat /debug/pprof)")
 		traceOut  = flag.String("trace-out", "", "write the protocol event ring as JSONL to this file on exit")
@@ -117,13 +114,6 @@ func main() {
 	kit := telemetry.NewKit(*metrics, *traceOut, *spanOut, events)
 	switch *role {
 	case "home":
-		if *shards > 1 {
-			if *backup != "" {
-				fail(fmt.Errorf("-backup is incompatible with -shards > 1; per-shard durability uses -wal-dir"))
-			}
-			runShardedHome(*listen, *walDir, *shards, *migThresh, plat, gthv, body, *threads, *localTh, *statsJSON, kit)
-			return
-		}
 		runHome(*listen, *backup, *walDir, plat, gthv, body, *threads, *localTh, *statsJSON, kit)
 	case "worker":
 		runWorker(*homeAddr, *standby, plat, gthv, body, int32(*rank), *statsJSON, kit)
@@ -320,148 +310,10 @@ func runHome(listen, backupAddr, walDir string, plat *platform.Platform, gthv ta
 	home.Close()
 }
 
-// runShardedHome serves a multi-home sharded directory behind one gateway
-// address: remote workers dial -listen exactly as they would a single home
-// and talk to a per-connection proxy, while N shard homes (each owning its
-// directory slice) live in this process. With -wal-dir every shard logs to
-// wal-dir/shard<i> under its own fencing epoch; with -migrate-threshold the
-// background planner re-homes hot entries while the workload runs. /stats
-// carries the shard map and heat leaders under "dir", and the dsm_dir_*
-// counters land in /metrics via the shared registry.
-func runShardedHome(listen, walDir string, shards int, migThresh uint64, plat *platform.Platform, gthv tag.Struct, body func(*dsd.Thread, int) error, threads int, localThread, statsJSON bool, kit *telemetry.Kit) {
-	opts := nodeOptions(kit)
-	// Gateway proxies reconnect to shards across transient drops; treat
-	// their disconnects as transient like the HA clients'.
-	opts.StickyLocks = true
-	cl, err := dir.NewCluster(gthv, plat, threads, dir.Config{
-		Shards:           shards,
-		MigrateThreshold: migThresh,
-		Opts:             opts,
-		WALDir:           walDir,
-	})
-	if err != nil {
-		fail(err)
-	}
-	defer cl.Close()
-	var nw transport.TCP
-	l, err := nw.Listen(listen)
-	if err != nil {
-		fail(err)
-	}
-	fmt.Printf("home: sharded directory on %s (%s), %d shards, waiting for %d threads\n",
-		l.Addr(), plat, shards, threads)
-	if walDir != "" {
-		fmt.Printf("home: per-shard write-ahead logs under %s/shard<i>\n", walDir)
-	}
-	go cl.ServeGateway(l)
-	if migThresh > 0 {
-		cl.StartMigrator(2 * time.Millisecond)
-		fmt.Printf("home: heat-driven migration armed at %d faults/entry\n", migThresh)
-	}
-
-	var th *dsd.Thread
-	if localThread {
-		th, err = cl.NewThread(0, plat, opts)
-		if err != nil {
-			fail(err)
-		}
-	}
-	statsFn := func() map[string]any {
-		var agg stats.Breakdown
-		doc := map[string]any{}
-		fenced := 0
-		for i := 0; i < cl.Shards(); i++ {
-			h := cl.Home(i)
-			agg.Merge(h.Stats())
-			if h.Fenced() {
-				fenced++
-			}
-			doc[fmt.Sprintf("shard%d", i)] = map[string]any{
-				"stats":    h.Stats().Map(),
-				"epoch":    h.Epoch(),
-				"fenced":   h.Fenced(),
-				"overload": overloadDoc(h, nil),
-			}
-		}
-		if th != nil {
-			agg.Merge(th.Stats())
-			doc["thread0"] = th.Stats().Map()
-		}
-		doc["agg"] = agg.Map()
-		ds := cl.Stats()
-		doc["dir"] = ds
-		// Merged cluster view: one section with the whole deployment's
-		// health — aggregated Eq. 1 breakdown, the dsm_dir_* counter
-		// totals, shard epochs/fencing, and the heat leaderboard — so an
-		// operator reads cluster state without walking per-shard sections.
-		doc["cluster"] = map[string]any{
-			"shards":           ds.Shards,
-			"shard_epochs":     ds.ShardEpochs,
-			"fenced_shards":    fenced,
-			"breakdown":        agg.Map(),
-			"migrations":       ds.Migrations,
-			"lock_migrations":  ds.LockMigrations,
-			"forwards":         ds.Forwards,
-			"stale_cache_hits": ds.StaleCacheHits,
-			"sync_rounds":      ds.SyncRounds,
-			"heat_leaders":     ds.HeatLeaders,
-		}
-		return doc
-	}
-	var heatFn func() any
-	if th != nil {
-		heatFn = func() any { return th.Heat() }
-	}
-	if err := kit.Serve(statsFn, heatFn); err != nil {
-		fail(err)
-	}
-
-	threadStats := map[string]any{}
-	if th != nil {
-		errCh := make(chan error, 1)
-		go func() { errCh <- body(th, 0) }()
-		cl.Wait()
-		if err := <-errCh; err != nil {
-			fail(err)
-		}
-		fmt.Println("thread-0 breakdown: ", th.Stats())
-		threadStats["thread0"] = th.Stats().Map()
-	} else {
-		cl.Wait()
-	}
-	cl.StopMigrator()
-	if migThresh > 0 {
-		if _, err := cl.PumpMigrations(); err != nil {
-			fail(err)
-		}
-	}
-	fmt.Println("home: all threads joined")
-	var homeSide stats.Breakdown
-	for i := 0; i < cl.Shards(); i++ {
-		hs := cl.Home(i).Stats()
-		homeSide.Merge(hs)
-		threadStats[fmt.Sprintf("shard%d", i)] = hs.Map()
-	}
-	fmt.Println("home-side breakdown (all shards):", &homeSide)
-	ds := cl.Stats()
-	fmt.Printf("directory: %d entry re-homings, %d lock moves, %d forwards (%d stale-cache corrections)\n",
-		ds.Migrations, ds.LockMigrations, ds.Forwards, ds.StaleCacheHits)
-	if statsJSON {
-		dumpJSON(map[string]any{
-			"role":  "home",
-			"stats": threadStats,
-			"ha":    (&ha.Counters{}).Map(),
-			"dir":   ds,
-		})
-	}
-	if err := kit.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, "dsmnode: telemetry:", err)
-	}
-}
-
 // overloadDoc renders a home's deadline-plane health for /stats: per-peer
-// bounded-queue depth, the oldest unacked frame's age, shed counts, and the
-// budget-bounded waits that expired. Empty queues when the plane is off.
+// bounded-queue depth, the oldest unacked frame's age and shed counts, plus
+// the co-resident thread's expired attempts. Empty queues when the plane is
+// off.
 func overloadDoc(home *dsd.Home, th *dsd.Thread) map[string]any {
 	peers := []map[string]any{}
 	for _, q := range home.QueueStats() {
@@ -474,10 +326,7 @@ func overloadDoc(home *dsd.Home, th *dsd.Thread) map[string]any {
 			"shed":              q.Shed,
 		})
 	}
-	doc := map[string]any{
-		"queues":            peers,
-		"deadline_exceeded": home.DeadlineExceeded(),
-	}
+	doc := map[string]any{"queues": peers}
 	if th != nil {
 		doc["thread0_deadline_exceeded"] = th.DeadlineExceeded()
 	}

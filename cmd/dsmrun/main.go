@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"hetdsm/internal/apps"
-	"hetdsm/internal/dir"
 	"hetdsm/internal/dsd"
 	"hetdsm/internal/flight"
 	"hetdsm/internal/ha"
@@ -25,16 +24,6 @@ import (
 	"hetdsm/internal/telemetry"
 	"hetdsm/internal/vmem"
 )
-
-// shardOf resolves an entry's owner from a directory stats snapshot.
-func shardOf(d *dir.Stats, entry int) int32 {
-	for _, m := range d.Map {
-		if !m.Lock && int(m.Object) == entry {
-			return m.Shard
-		}
-	}
-	return int32(entry % d.Shards)
-}
 
 func main() {
 	var (
@@ -54,8 +43,6 @@ func main() {
 		traceOut  = flag.String("trace-out", "", "write the protocol event ring as JSONL to this file on exit")
 		spanOut   = flag.String("span-out", "", "write release-pipeline spans as JSONL to this file on exit")
 		heatTop   = flag.Int("heat", 0, "print the N hottest pages of the page-heat report (0 disables)")
-		shards    = flag.Int("shards", 1, "home shard count; >1 runs the multi-home sharded directory")
-		migThresh = flag.Uint64("migrate-threshold", 0, "per-entry fault total that triggers heat-driven re-homing (0 disables; needs -shards > 1)")
 		ckptDir   = flag.String("wal-dir", "", "directory for coordinated cluster checkpoints")
 		ckptEvery = flag.Int("checkpoint-every", 0, "write a cluster checkpoint every N barrier generations (0 disables; needs -wal-dir)")
 		restore   = flag.Bool("restore", false, "resume from the cluster checkpoint in -wal-dir (matmul and lu only)")
@@ -89,18 +76,16 @@ func main() {
 	opts.Metrics = kit.Registry()
 
 	res, err := apps.Run(apps.Config{
-		Workload:         *workload,
-		N:                *n,
-		Pair:             pair,
-		Threads:          *threads,
-		Opts:             opts,
-		Verify:           *verify,
-		Seed:             *seed,
-		Shards:           *shards,
-		MigrateThreshold: *migThresh,
-		CheckpointDir:    *ckptDir,
-		CheckpointEvery:  *ckptEvery,
-		Restore:          *restore,
+		Workload:        *workload,
+		N:               *n,
+		Pair:            pair,
+		Threads:         *threads,
+		Opts:            opts,
+		Verify:          *verify,
+		Seed:            *seed,
+		CheckpointDir:   *ckptDir,
+		CheckpointEvery: *ckptEvery,
+		Restore:         *restore,
 		// Point the diagnostics endpoint at the live cluster: /stats
 		// re-reads the breakdowns per request; /heat is a best-effort
 		// snapshot of the per-page counters.
@@ -112,34 +97,6 @@ func main() {
 					agg.Merge(th.Stats())
 				}
 				return agg.Map()
-			}
-			heatFn := func() any {
-				var heat vmem.HeatReport
-				for _, th := range threads {
-					heat.Merge(th.Heat())
-				}
-				return heat
-			}
-			if err := kit.Serve(statsFn, heatFn); err != nil {
-				fmt.Fprintln(os.Stderr, "dsmrun: telemetry:", err)
-				os.Exit(1)
-			}
-		},
-		// Sharded runs expose the same live view plus the directory: the
-		// shard map, ownership counters and heat leaders ride along under
-		// the "dir" key so /stats shows re-homings as they happen.
-		OnShards: func(cl *dir.Cluster, threads []*dsd.Thread) {
-			statsFn := func() map[string]any {
-				var agg stats.Breakdown
-				for i := 0; i < cl.Shards(); i++ {
-					agg.Merge(cl.Home(i).Stats())
-				}
-				for _, th := range threads {
-					agg.Merge(th.Stats())
-				}
-				doc := agg.Map()
-				doc["dir"] = cl.Stats()
-				return doc
 			}
 			heatFn := func() any {
 				var heat vmem.HeatReport
@@ -179,14 +136,6 @@ func main() {
 	}
 	fmt.Printf("  %-9s %12v\n", "Cshare", total)
 	fmt.Println()
-	if d := res.Dir; d != nil {
-		fmt.Printf("sharded directory: %d shards, %d entry re-homings, %d lock moves, %d forwards (%d stale-cache corrections)\n",
-			d.Shards, d.Migrations, d.LockMigrations, d.Forwards, d.StaleCacheHits)
-		for _, ld := range d.HeatLeaders {
-			fmt.Printf("  entry %3d  owner=shard%d  faults=%-6d leader=rank%d\n",
-				ld.Entry, shardOf(d, ld.Entry), ld.Faults, ld.Rank)
-		}
-	}
 	fmt.Printf("home-side conversion (the paper's t_conv): %v\n", res.Home[stats.Conv])
 	fmt.Println("per-platform release-side work:")
 	for name, bd := range res.ByPlatform {
@@ -248,12 +197,6 @@ func main() {
 			// present (and zero) so consumers see one schema across both
 			// commands.
 			"ha": (&ha.Counters{}).Map(),
-			"dir": func() any {
-				if res.Dir == nil {
-					return nil
-				}
-				return res.Dir
-			}(),
 			"heat": map[string]any{
 				"total_faults":     res.Heat.TotalFaults,
 				"total_diff_bytes": res.Heat.TotalDiffBytes,

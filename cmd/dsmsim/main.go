@@ -35,9 +35,8 @@ import (
 func main() {
 	var (
 		seeds    = flag.Int("seeds", 8, "number of seeds to sweep (seed 0..N-1)")
-		profile  = flag.String("profile", "all", "fault profile (clean|flaky|partition|failover|handoff|lostack|homecrash-restart|migrate|stall|dribble|all)")
+		profile  = flag.String("profile", "all", "fault profile (clean|flaky|partition|failover|handoff|lostack|homecrash-restart|stall|dribble|all)")
 		mix      = flag.String("mix", "all", "platform mix (e.g. LL, SL, Lsl) or all")
-		shards   = flag.Int("shards", 0, "home shard count (0 = profile default: 1, or 4 for migrate)")
 		grammar  = flag.String("grammar", "classic", "workload grammar (classic|nested|pointer|producer|hotcold|chaos|all) or a weighted spec like cs:3,nested:2")
 		locks    = flag.Int("locks", 0, "lock count for grammar workloads (0 = mix default)")
 		corpus   = flag.String("corpus", "", "regression-seed JSON file; clean-sweep violations are appended automatically")
@@ -69,13 +68,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	if *shards > 1 {
-		for _, p := range profiles {
-			if *profile != "all" && !p.Shardable() {
-				fail(fmt.Errorf("dsmsim: profile %s scripts a single home and does not compose with -shards %d; drop -shards or pick a shardable profile (clean|flaky|lostack|migrate|stall|dribble)", p, *shards))
-			}
-		}
-	}
 	if *out != "" {
 		if err := os.MkdirAll(*out, 0o755); err != nil {
 			fail(err)
@@ -86,7 +78,7 @@ func main() {
 		if *profile == "all" || *mix == "all" || *grammar == "all" {
 			fail(fmt.Errorf("dsmsim: -replay reproduces one plan; name one -profile, -mix, and -grammar (got -profile %s -mix %s -grammar %s)", *profile, *mix, *grammar))
 		}
-		os.Exit(replayOne(*replay, profiles, mixes, grammars, *negative, *shards, *locks, *out, *spansOut))
+		os.Exit(replayOne(*replay, profiles, mixes, grammars, *negative, *locks, *out, *spansOut))
 	}
 
 	plans := make([]sim.Plan, 0, *seeds*len(profiles)*len(mixes)*len(grammars))
@@ -98,11 +90,6 @@ func main() {
 					plan.Negative = *negative
 					plan.Grammar = g
 					plan.Locks = *locks
-					if p.Shardable() {
-						// Profiles scripting single-home fates keep their
-						// default; -shards only shapes the ones that compose.
-						plan.Shards = *shards
-					}
 					if err := plan.Validate(); err != nil {
 						fail(fmt.Errorf("dsmsim: %w", err))
 					}
@@ -128,7 +115,7 @@ func pickProfiles(name string, negative bool) ([]sim.Profile, error) {
 	}
 	p := sim.Profile(name)
 	if !sim.ValidProfile(p) {
-		return nil, fmt.Errorf("dsmsim: unknown profile %q (want clean|flaky|partition|failover|handoff|lostack|homecrash-restart|migrate|stall|dribble|all)", name)
+		return nil, fmt.Errorf("dsmsim: unknown profile %q (want clean|flaky|partition|failover|handoff|lostack|homecrash-restart|stall|dribble|all)", name)
 	}
 	return []sim.Profile{p}, nil
 }
@@ -230,10 +217,9 @@ func sweep(plans []sim.Plan, negative bool, workers int, verbose bool, out, corp
 
 // replayOne runs a single plan twice and verifies the byte-identical
 // canonical-trace guarantee, printing the full report.
-func replayOne(seed int64, profiles []sim.Profile, mixes []string, grammars []string, negative bool, shards, locks int, out, spansOut string) int {
+func replayOne(seed int64, profiles []sim.Profile, mixes []string, grammars []string, negative bool, locks int, out, spansOut string) int {
 	plan := sim.NewPlan(seed, profiles[0], mixes[0])
 	plan.Negative = negative
-	plan.Shards = shards
 	plan.Grammar = grammars[0]
 	plan.Locks = locks
 	if err := plan.Validate(); err != nil {

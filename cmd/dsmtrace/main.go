@@ -263,11 +263,11 @@ type pageStats struct {
 }
 
 // namesPage reports whether a moment's mutex operand is a lock, barrier or
-// entry index; fences, epoch adoptions, restarts, migrations and checker
-// verdicts carry epochs and counts there instead.
+// entry index; fences, epoch adoptions, restarts and checker verdicts carry
+// epochs and counts there instead.
 func namesPage(k flight.Kind) bool {
 	switch k {
-	case flight.KindFence, flight.KindEpochAdopt, flight.KindRestart, flight.KindMigrate, flight.KindViolation:
+	case flight.KindFence, flight.KindEpochAdopt, flight.KindRestart, flight.KindViolation:
 		return false
 	}
 	return true

@@ -371,45 +371,3 @@ func TestPageFaultsReported(t *testing.T) {
 		t.Errorf("faults = %d exceeds first-touch bound %d", res.PageFaults, pages*releases)
 	}
 }
-
-func TestRunShardedVerifies(t *testing.T) {
-	for _, shards := range []int{2, 4} {
-		for _, wl := range []struct {
-			name string
-			n    int
-		}{{"matmul", 24}, {"lu", 16}, {"transfer", 64}} {
-			res, err := Run(Config{Workload: wl.name, N: wl.n, Pair: mustPair(t, "SL"),
-				Verify: true, Seed: 5, Shards: shards})
-			if err != nil {
-				t.Fatalf("%s shards=%d: %v", wl.name, shards, err)
-			}
-			if !res.Verified {
-				t.Fatalf("%s shards=%d: not verified", wl.name, shards)
-			}
-			if res.Dir == nil || res.Dir.Shards != shards {
-				t.Fatalf("%s shards=%d: missing dir stats", wl.name, shards)
-			}
-		}
-	}
-}
-
-func TestRunShardedHeatMigrationObservable(t *testing.T) {
-	res, err := Run(Config{Workload: "matmul", N: 32, Pair: mustPair(t, "LL"),
-		Verify: true, Seed: 6, Shards: 4, MigrateThreshold: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Dir == nil {
-		t.Fatal("no dir stats")
-	}
-	if res.Dir.Migrations == 0 {
-		t.Fatal("no entry re-homed despite a low migration threshold")
-	}
-}
-
-func TestRunShardedRefusesCheckpoint(t *testing.T) {
-	if _, err := Run(Config{Workload: "matmul", N: 16, Pair: mustPair(t, "LL"),
-		Shards: 2, CheckpointEvery: 1, CheckpointDir: t.TempDir()}); err == nil {
-		t.Fatal("sharded checkpoint run unexpectedly accepted")
-	}
-}

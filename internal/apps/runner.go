@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"hetdsm/internal/dir"
 	"hetdsm/internal/dsd"
 	"hetdsm/internal/platform"
 	"hetdsm/internal/stats"
@@ -80,23 +79,6 @@ type Config struct {
 	// built but before the workload starts — the hook dsmrun uses to
 	// point a live diagnostics endpoint at the cluster.
 	OnCluster func(home *dsd.Home, threads []*dsd.Thread)
-	// Shards partitions the home across this many directory shards
-	// (internal/dir); 0 or 1 runs the classic single home. Checkpoint and
-	// restore are single-home only.
-	Shards int
-	// MigrateThreshold enables heat-driven page re-homing in sharded runs:
-	// an entry whose accumulated faults cross it is moved to its hottest
-	// rank's affinity shard. 0 leaves the static hash in place.
-	MigrateThreshold uint64
-	// MigrateEvery is the background migration planner period for sharded
-	// runs (default 2ms when MigrateThreshold > 0).
-	MigrateEvery time.Duration
-	// ShardWALDir gives every shard a write-ahead log under this directory
-	// (sharded runs only).
-	ShardWALDir string
-	// OnShards is OnCluster's sharded counterpart, handed the directory
-	// cluster instead of a single home.
-	OnShards func(cl *dir.Cluster, threads []*dsd.Thread)
 	// CheckpointDir, with CheckpointEvery > 0, makes the home write a
 	// coordinated cluster checkpoint there every CheckpointEvery barrier
 	// generations (matmul and lu only).
@@ -135,9 +117,6 @@ type Result struct {
 	// fault/diff counters merged page-wise, hottest page first, with
 	// false-sharing suspects flagged.
 	Heat vmem.HeatReport
-	// Dir carries the sharded directory's migration and forwarding
-	// counters; nil for single-home runs.
-	Dir *dir.Stats
 }
 
 // AggTotal returns Cshare: the sum of the aggregate components.
@@ -169,9 +148,6 @@ func Run(cfg Config) (*Result, error) {
 
 	if (cfg.Restore || cfg.CheckpointEvery > 0) && cfg.Workload != "matmul" && cfg.Workload != "lu" {
 		return nil, fmt.Errorf("apps: checkpoint/restore supports matmul and lu only, not %q", cfg.Workload)
-	}
-	if cfg.Shards > 1 && (cfg.Restore || cfg.CheckpointEvery > 0) {
-		return nil, fmt.Errorf("apps: coordinated checkpoint/restore is single-home only; run with 1 shard")
 	}
 
 	// Restore resumes from a coordinated cluster cut; phase is the barrier
@@ -229,10 +205,6 @@ func Run(cfg Config) (*Result, error) {
 		}
 	default:
 		return nil, fmt.Errorf("apps: unknown workload %q", cfg.Workload)
-	}
-
-	if cfg.Shards > 1 {
-		return runSharded(cfg, gthv, body)
 	}
 
 	if cfg.CheckpointEvery > 0 {

@@ -82,11 +82,11 @@ type Options struct {
 	Recorder Recorder
 	// OpTimeout bounds each attempt of a synchronization operation (lock,
 	// unlock, barrier, flush, join, fetch): sends and receives carry real
-	// socket deadlines, the remaining budget is stamped on the wire so the
-	// home bounds its own blocking (a shard's sync-ack wait), and an expired
-	// attempt severs the connection and retries idempotently through the
-	// HA redial path. The home additionally bounds each peer's outbound
-	// queue, shedding grants to slow consumers instead of wedging the stub.
+	// socket deadlines, and an expired attempt severs the connection and
+	// retries idempotently through the HA redial path. The budget is the
+	// client's alone; no frame carries it. The home bounds each peer's
+	// outbound queue instead, shedding grants to slow consumers rather than
+	// wedging the stub.
 	// Zero (the default) disables the deadline plane entirely: operations
 	// block indefinitely, exactly the pre-deadline behavior.
 	OpTimeout time.Duration
@@ -112,33 +112,6 @@ type Options struct {
 	// with the home mutex held, so it must not call back into the home;
 	// write the blob and return.
 	CheckpointSink func(img *wire.HomeImage, gen uint64)
-	// Directory, when non-nil, makes this home one shard of a multi-home
-	// directory (internal/dir): it is authoritative only for the entries
-	// and locks the directory currently maps to Shard, and answers
-	// misdelivered requests with KindDirForward corrections instead of
-	// applying them. nil (the default) keeps the classic single-home
-	// behavior: the home owns everything.
-	Directory DirectoryView
-	// Shard is this home's shard id within the directory; meaningful only
-	// with Directory set.
-	Shard int32
-	// HeatSink, when non-nil, receives the page-fault heat samples threads
-	// piggyback on release messages (home-side). The sharded directory
-	// aggregates them into its heat-driven migration planner.
-	HeatSink func(rank int32, samples []wire.HeatSample)
-}
-
-// DirectoryView resolves authoritative page/lock ownership for a sharded
-// home. Implementations must be safe for concurrent use and must never
-// call back into a Home: homes consult the view with their own mutex held
-// (home.mu before directory state is the global lock order).
-type DirectoryView interface {
-	// EntryOwner returns the shard owning index-table entry e and the
-	// mapping's version (bumped on every migration).
-	EntryOwner(entry int) (shard int32, ver uint64)
-	// LockOwner returns the shard owning mutex idx and the mapping's
-	// version.
-	LockOwner(idx int32) (shard int32, ver uint64)
 }
 
 // Protocol is the consistency-propagation scheme.

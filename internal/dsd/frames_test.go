@@ -1,8 +1,10 @@
 package dsd
 
 import (
+	"bytes"
 	"reflect"
 	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -110,6 +112,66 @@ func TestFramesPerSyncOp(t *testing.T) {
 		t.Errorf("two-lock transfer: %d frames, want 8", f)
 	}
 	t.Logf("two-lock transfer: %d frames, %d B", f, b)
+}
+
+// frameTap keeps a copy of every frame sent through it.
+type frameTap struct {
+	transport.Conn
+	mu   sync.Mutex
+	sent [][]byte
+}
+
+func (c *frameTap) SendFrame(frame []byte) error {
+	c.mu.Lock()
+	c.sent = append(c.sent, slices.Clone(frame))
+	c.mu.Unlock()
+	return c.Conn.SendFrame(frame)
+}
+
+// TestReleaseFrameCarriesOnlyItsUpdates pins the lean release frame: a
+// one-store release's unlock request is exactly the encoding of a message
+// holding Kind, Seq, Rank, Epoch and Updates. A field added to every
+// release (page-heat samples, a deadline budget) fails here.
+func TestReleaseFrameCarriesOnlyItsUpdates(t *testing.T) {
+	h, err := NewHome(testGThV(), platform.LinuxX86, 2, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := transport.Pipe()
+	go h.ServeConn(b)
+	tap := &frameTap{Conn: a}
+	th, err := Connect(tap, platform.SolarisSPARC, 1, testGThV(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer th.Close()
+	if err := th.Lock(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := th.Globals().MustVar("A").SetInt(3, 7); err != nil {
+		t.Fatal(err)
+	}
+	if err := th.Unlock(0); err != nil {
+		t.Fatal(err)
+	}
+	tap.mu.Lock()
+	frame := tap.sent[len(tap.sent)-1]
+	tap.mu.Unlock()
+	m, err := wire.Decode(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Kind != wire.KindUnlockReq || len(m.Updates) != 1 {
+		t.Fatalf("last frame is %v with %d updates, want an unlock-req with 1", m.Kind, len(m.Updates))
+	}
+	want, err := wire.Encode(&wire.Message{Kind: m.Kind, Seq: m.Seq, Rank: m.Rank, Epoch: m.Epoch, Updates: m.Updates})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(frame, want) {
+		t.Errorf("one-store unlock-req is % x (%d B),\nwant % x (%d B): only Kind, Seq, Rank, Epoch and Updates may travel",
+			frame, len(frame), want, len(want))
+	}
 }
 
 // rawPeer speaks the wire protocol to a home directly, one request and one

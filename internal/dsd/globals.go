@@ -5,7 +5,6 @@ import (
 
 	"hetdsm/internal/indextable"
 	"hetdsm/internal/platform"
-	"hetdsm/internal/tag"
 	"hetdsm/internal/vmem"
 )
 
@@ -33,34 +32,6 @@ type Globals struct {
 
 func newGlobals(p *platform.Platform, t *indextable.Table, s *vmem.Segment) *Globals {
 	return &Globals{plat: p, table: t, seg: s}
-}
-
-// GlobalsFor builds a typed view over a raw GThV image laid out for plat
-// at base — no home, no thread. The sharded directory uses it to verify a
-// merged master image (each shard contributes its owned entries) against
-// the single-home result; checkpoint tooling can inspect snapshots with it.
-// The image is copied into a fresh segment, so the caller's buffer is not
-// aliased.
-func GlobalsFor(gthv tag.Struct, p *platform.Platform, base uint64, img []byte) (*Globals, error) {
-	layout, err := tag.NewLayout(gthv, p)
-	if err != nil {
-		return nil, err
-	}
-	if len(img) != layout.Size {
-		return nil, fmt.Errorf("dsd: image %d bytes, want %d for %s", len(img), layout.Size, p)
-	}
-	table, err := indextable.Build(layout, base)
-	if err != nil {
-		return nil, err
-	}
-	seg, err := vmem.NewSegment(base, layout.Size, p.PageSize)
-	if err != nil {
-		return nil, err
-	}
-	if err := seg.RawWrite(0, img); err != nil {
-		return nil, err
-	}
-	return newGlobals(p, table, seg), nil
 }
 
 // Platform returns the platform the replica is laid out for.

@@ -43,13 +43,6 @@ import (
 // a thread holds a lock indefinitely); the home then thaws and serves on,
 // lock requesters parked by the freeze included.
 func (h *Home) Detach(timeout time.Duration) (*wire.HomeImage, error) {
-	if h.opts.Directory != nil {
-		// Whole-home handoff assumes this node owns every entry and lock —
-		// a shard does not. Re-homing within a sharded directory goes
-		// entry-by-entry through TransferEntry; a failed shard restarts
-		// from its own WAL with a bumped epoch instead.
-		return nil, fmt.Errorf("dsd: shard %d cannot hand off whole-home state; use directory migration", h.opts.Shard)
-	}
 	h.mu.Lock()
 	if h.frozen {
 		h.mu.Unlock()
@@ -191,7 +184,7 @@ func NewHomeFromImage(gthv tag.Struct, p *platform.Platform, opts Options, img *
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if err := h.importLocked(srcTable, img.Image, 0, srcTable.Len()); err != nil {
+	if err := h.importLocked(srcTable, img.Image); err != nil {
 		return nil, err
 	}
 	// Each known rank's replica is exactly as stale as its carried queue

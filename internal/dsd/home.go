@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"hetdsm/internal/convert"
@@ -97,9 +96,6 @@ type Home struct {
 	// queues tracks the bounded per-peer outbound queues (OpTimeout > 0
 	// only) by rank, for /stats and the dsm_transport_queue_depth gauge.
 	queues map[int32]*transport.SendQueue
-	// deadlineHits counts budget-bounded home-side waits (the sync ack of a
-	// sharded acquire) that expired on the requester's own stamped budget.
-	deadlineHits atomic.Uint64
 }
 
 // homeQueueCap bounds each peer's outbound queue when the deadline plane
@@ -130,12 +126,11 @@ type peer struct {
 	pendSeq  uint64
 
 	// Scratch the peer's stub goroutine owns and reuses, so a steady-state
-	// release or grant allocates only its encoded frame: ack receives sync
-	// acks, convs and conv hold a release's converted
-	// updates, others the ranks its spans are queued for, and grant,
-	// grantUps and grantData a materialized grant. plans convert each
-	// entry from the peer's representation to ours, pointers translated.
-	ack       wire.Message
+	// release or grant allocates only its encoded frame: convs and conv hold
+	// a release's converted updates, others the ranks its spans are queued
+	// for, and grant, grantUps and grantData a materialized grant. plans
+	// convert each entry from the peer's representation to ours, pointers
+	// translated.
 	convs     []converted
 	conv      []byte
 	others    []int32
@@ -201,10 +196,6 @@ func NewHome(gthv tag.Struct, p *platform.Platform, nthreads int, opts Options) 
 	if epoch == 0 {
 		epoch = 1
 	}
-	node := "home@" + p.Name
-	if opts.Directory != nil {
-		node = fmt.Sprintf("shard%d@%s", opts.Shard, p.Name)
-	}
 	h := &Home{
 		opts:          opts,
 		gthv:          gthv,
@@ -215,7 +206,7 @@ func NewHome(gthv tag.Struct, p *platform.Platform, nthreads int, opts Options) 
 		master:        master,
 		epoch:         epoch,
 		hm:            newHomeMetrics(opts.Metrics),
-		node:          node,
+		node:          "home@" + p.Name,
 		locks:         make(map[int32]*lockState),
 		barriers:      make(map[int32]*barrierState),
 		pending:       make(map[int32][]indextable.Span),
@@ -280,35 +271,10 @@ func (h *Home) Watermarks() (applied, released map[int32]uint64) {
 // Table returns the home's index table.
 func (h *Home) Table() *indextable.Table { return h.table }
 
-// ownsEntry reports whether this home is authoritative for an index-table
-// entry: always, in single-home deployments, or when the directory maps
-// the entry to this shard.
-func (h *Home) ownsEntry(entry int) bool {
-	if h.opts.Directory == nil {
-		return true
-	}
-	shard, _ := h.opts.Directory.EntryOwner(entry)
-	return shard == h.opts.Shard
-}
-
-// ownsLock reports whether this home is authoritative for a mutex.
-func (h *Home) ownsLock(idx int32) bool {
-	if h.opts.Directory == nil {
-		return true
-	}
-	shard, _ := h.opts.Directory.LockOwner(idx)
-	return shard == h.opts.Shard
-}
-
-// seedFullLocked queues a full-state catch-up for a rank: every entry this
-// home is authoritative for, as whole-entry spans. Non-owned entries are a
-// sibling shard's to seed — serving them here would ship data that may be
-// stale the moment the owner applies a newer release. Caller holds h.mu.
+// seedFullLocked queues a full-state catch-up for a rank: every entry, as
+// whole-entry spans. Caller holds h.mu.
 func (h *Home) seedFullLocked(rank int32) {
 	for i := 0; i < h.table.Len(); i++ {
-		if !h.ownsEntry(i) {
-			continue
-		}
 		h.pending[rank] = append(h.pending[rank],
 			indextable.Span{Entry: i, First: 0, Count: h.table.Entry(i).Count})
 	}
@@ -338,39 +304,37 @@ func (h *Home) Restore(img *wire.HomeImage) error {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.importLocked(srcTable, img.Image, 0, srcTable.Len())
+	return h.importLocked(srcTable, img.Image)
 }
 
 // importLocked is the one receiver-makes-right master import, shared by
-// image restore (every entry) and entry migration (one entry). src holds
-// index-table entries [lo,hi) in srcTable's layout, starting at entry lo's
-// first byte. They are converted to this home's representation with pointer
-// members translated into its address space, written to the master, queued
-// as whole-entry catch-up spans for every rank whose replica the home
-// tracks (the fan-out applyUpdates uses: registered peers, and carried
-// ranks yet to re-register) and mirrored to the replicators. The home is
-// dirty afterwards, so any other rank is seeded in full when it registers.
-// Caller holds h.mu.
-func (h *Home) importLocked(srcTable *indextable.Table, src []byte, lo, hi int) error {
+// Restore and NewHomeFromImage. src is a whole master image in srcTable's
+// layout. Every entry is converted to this home's representation with
+// pointer members translated into its address space, written to the
+// master, queued as a whole-entry catch-up span for every rank whose
+// replica the home tracks (the fan-out applyUpdates uses: registered
+// peers, and carried ranks yet to re-register) and mirrored to the
+// replicators. The home is dirty afterwards, so any other rank is seeded
+// in full when it registers. Caller holds h.mu.
+func (h *Home) importLocked(srcTable *indextable.Table, src []byte) error {
 	plans, err := entryPlans(h.table, srcTable.Platform(), h.table.Translator(srcTable))
 	if err != nil {
 		return err
 	}
-	origin := srcTable.Entry(lo).Offset
-	ups := make([]wire.Update, 0, hi-lo)
-	for i := lo; i < hi; i++ {
+	ups := make([]wire.Update, 0, srcTable.Len())
+	for i := 0; i < srcTable.Len(); i++ {
 		se := srcTable.Entry(i)
-		data, err := plans[i].Append(nil, src[se.Offset-origin:][:se.Bytes()], se.Count)
+		data, err := plans[i].Append(nil, src[se.Offset:][:se.Bytes()], se.Count)
 		if err != nil {
 			return err
 		}
 		ups = append(ups, wire.Update{Entry: int32(i), First: 0, Count: int32(se.Count), Data: data})
 	}
 	for i := range ups {
-		if err := h.master.RawWrite(h.table.Entry(lo+i).Offset, ups[i].Data); err != nil {
+		if err := h.master.RawWrite(h.table.Entry(i).Offset, ups[i].Data); err != nil {
 			return err
 		}
-		span := indextable.Span{Entry: lo + i, First: 0, Count: int(ups[i].Count)}
+		span := indextable.Span{Entry: i, First: 0, Count: int(ups[i].Count)}
 		for rank := range h.peers {
 			h.pending[rank] = append(h.pending[rank], span)
 		}
@@ -487,12 +451,6 @@ func (h *Home) ServeConn(c transport.Conn) {
 			h.commitPending(p, p.pendMark)
 			p.pendOpen = false
 		}
-		if len(msg.Heat) > 0 && h.opts.HeatSink != nil {
-			// Piggybacked page-heat samples feed the migration planner
-			// before the request is served, so a release that crosses the
-			// threshold can be acted on at the very boundary it created.
-			h.opts.HeatSink(p.rank, msg.Heat)
-		}
 		switch msg.Kind {
 		case wire.KindLockReq:
 			// The freeze check is inside acquire, atomic with the
@@ -516,8 +474,6 @@ func (h *Home) ServeConn(c transport.Conn) {
 			err = h.handleFetch(c, p, msg)
 		case wire.KindJoinReq:
 			err = h.handleJoin(c, p, msg)
-		case wire.KindSyncReq:
-			err = h.handleSync(c, p, msg)
 		case wire.KindPing:
 			err = h.send(c, &wire.Message{Kind: wire.KindPong, Seq: msg.Seq, Rank: msg.Rank})
 		default:
@@ -581,10 +537,6 @@ func (h *Home) LocalThread(rank int32, p *platform.Platform, opts Options) (*Thr
 // terminate").
 func (h *Home) Wait() { <-h.done }
 
-// Done exposes the join-completion channel so multi-home clusters can wait
-// on a shard that may be replaced (crash-restarted) while they wait.
-func (h *Home) Done() <-chan struct{} { return h.done }
-
 // Close shuts down all listeners.
 func (h *Home) Close() {
 	h.lmu.Lock()
@@ -621,26 +573,6 @@ func (h *Home) Kill() {
 		close(gen)
 	}
 	h.mu.Unlock()
-}
-
-// Sever cuts every live connection while keeping the listeners open — a
-// transient network loss around one home shard, as opposed to Kill's
-// crash. Threads reconnect through their HA conns and re-register; barrier
-// state is deliberately NOT reset: a replayed arrival re-keys its rank in
-// the open generation (count unchanged), and the handler goroutines parked
-// in arrive() drain once the generation fills — their release send fails
-// on the severed conn, and the replayed arrival is answered through the
-// release watermark.
-func (h *Home) Sever() {
-	h.lmu.Lock()
-	conns := make([]transport.Conn, 0, len(h.conns))
-	for c := range h.conns {
-		conns = append(conns, c)
-	}
-	h.lmu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
 }
 
 // fence stops a stale home: a frame stamped with a higher epoch proves a
@@ -733,11 +665,8 @@ func (h *Home) handleLock(c transport.Conn, p *peer, msg *wire.Message) error {
 	if h.hm.enabled {
 		acqStart = time.Now()
 	}
-	switch h.acquire(msg.Mutex, p.rank) {
-	case acqFrozen:
+	if !h.acquire(msg.Mutex, p.rank) {
 		return h.redirect(c, p.rank)
-	case acqNotOwned:
-		return h.sendForward(c, p, msg)
 	}
 	if h.hm.enabled {
 		h.hm.lockWait.Observe(time.Since(acqStart).Seconds())
@@ -760,20 +689,11 @@ func (h *Home) handleLock(c transport.Conn, p *peer, msg *wire.Message) error {
 }
 
 func (h *Home) handleUnlock(c transport.Conn, p *peer, msg *wire.Message) error {
-	if !h.ownsLock(msg.Mutex) {
-		// A held mutex never migrates (MigrateLockIf refuses), so this is
-		// a stale-cache delivery or a replay after the (free) mutex moved;
-		// nothing here to release. Correct the sender's cache.
-		return h.sendForward(c, p, msg)
-	}
 	if err := h.applyUpdates(p, msg); err != nil {
 		if err == errMoved {
 			// Unreachable while the quiescence protocol holds (a held
 			// lock blocks the snapshot), but redirect defensively.
 			return h.redirect(c, p.rank)
-		}
-		if err == errNotOwned {
-			return h.sendForward(c, p, msg)
 		}
 		return err
 	}
@@ -798,9 +718,6 @@ func (h *Home) handleBarrier(c transport.Conn, p *peer, msg *wire.Message) error
 	if err := h.applyUpdates(p, msg); err != nil {
 		if err == errMoved {
 			return h.redirect(c, p.rank)
-		}
-		if err == errNotOwned {
-			return h.sendForward(c, p, msg)
 		}
 		return err
 	}
@@ -849,9 +766,6 @@ func (h *Home) handleFlush(c transport.Conn, p *peer, msg *wire.Message) error {
 		if err == errMoved {
 			return h.redirect(c, p.rank)
 		}
-		if err == errNotOwned {
-			return h.sendForward(c, p, msg)
-		}
 		return err
 	}
 	h.opts.Events.Note(h.node, flight.KindFlush, p.rank, -1, int64(wire.UpdateBytes(msg.Updates)), "")
@@ -875,13 +789,6 @@ func (h *Home) handleFetch(c transport.Conn, p *peer, msg *wire.Message) error {
 				e.Name, u.First, int(u.First)+int(u.Count), e.Count)
 		}
 		spans = append(spans, indextable.Span{Entry: int(u.Entry), First: int(u.First), Count: int(u.Count)})
-	}
-	for _, s := range spans {
-		if !h.ownsEntry(s.Entry) {
-			// The requested element lives at a sibling shard now; serving
-			// our copy could return pre-migration data.
-			return h.sendForward(c, p, msg)
-		}
 	}
 	spans = indextable.MergeSpans(spans)
 
@@ -919,9 +826,6 @@ func (h *Home) handleJoin(c transport.Conn, p *peer, msg *wire.Message) error {
 		if err == errMoved {
 			return h.redirect(c, p.rank)
 		}
-		if err == errNotOwned {
-			return h.sendForward(c, p, msg)
-		}
 		return err
 	}
 	h.mu.Lock()
@@ -946,93 +850,17 @@ func (h *Home) handleJoin(c transport.Conn, p *peer, msg *wire.Message) error {
 	return h.send(c, &wire.Message{Kind: wire.KindJoinAck, Rank: p.rank})
 }
 
-// handleSync serves a KindSyncReq: the sharded acquire path's gather leg.
-// After the lock-owner shard grants, the thread's proxy pulls outstanding
-// pending updates from every OTHER shard with a sync round. Unlike barrier
-// releases, the reply carries an explicit three-way ack: the drain commits
-// only on KindSyncAck, so a reply lost to a severed shard connection is
-// re-materialized for the replayed request.
-func (h *Home) handleSync(c transport.Conn, p *peer, msg *wire.Message) error {
-	updates, mark := h.peekPending(p)
-	h.opts.Events.Note(h.node, flight.KindLockGrant, p.rank, -1, int64(wire.UpdateBytes(updates)), "sync")
-	if err := h.send(c, &wire.Message{Kind: wire.KindSyncReply, Seq: msg.Seq, Rank: p.rank, Updates: updates}); err != nil {
-		return err
-	}
-	ack, err := h.recvBudget(c, msg.DeadlineMS, &p.ack)
-	if err != nil {
-		return err
-	}
-	if ack.Kind != wire.KindSyncAck {
-		return fmt.Errorf("dsd: expected sync-ack, got %v", ack.Kind)
-	}
-	h.commitPending(p, mark)
-	return nil
-}
-
 // errMoved reports an update-bearing request arriving after the handoff
 // snapshot; the caller answers with a redirect.
 var errMoved = fmt.Errorf("dsd: home state already handed off")
 
-// errNotOwned reports a request touching an entry (or lock) the directory
-// maps to a sibling shard — the sender's cache is stale. The caller answers
-// with a KindDirForward correction; nothing was applied.
-var errNotOwned = fmt.Errorf("dsd: entry owned by another shard")
-
-// sendForward answers a misdelivered request with directory corrections:
-// the current owner (and mapping version) of every entry the request
-// touched, plus the lock mapping for lock-addressed kinds. The sender
-// updates its cache and re-routes — at most one extra hop per stale
-// mapping, since the correction carries the authoritative owner.
-func (h *Home) sendForward(c transport.Conn, p *peer, msg *wire.Message) error {
-	if h.opts.Directory == nil {
-		return fmt.Errorf("dsd: forward without a directory")
-	}
-	var dir []wire.DirEntry
-	seen := make(map[int32]bool, len(msg.Updates))
-	for i := range msg.Updates {
-		e := msg.Updates[i].Entry
-		if seen[e] {
-			continue
-		}
-		seen[e] = true
-		shard, ver := h.opts.Directory.EntryOwner(int(e))
-		dir = append(dir, wire.DirEntry{Object: e, Shard: shard, Ver: ver})
-	}
-	switch msg.Kind {
-	case wire.KindLockReq, wire.KindUnlockReq:
-		shard, ver := h.opts.Directory.LockOwner(msg.Mutex)
-		dir = append(dir, wire.DirEntry{Object: msg.Mutex, Lock: true, Shard: shard, Ver: ver})
-	}
-	h.opts.Events.Note(h.node, flight.KindRedirect, p.rank, int64(msg.Mutex), 0, msg.Kind.String())
-	return h.send(c, &wire.Message{
-		Kind:  wire.KindDirForward,
-		Seq:   msg.Seq,
-		Rank:  p.rank,
-		Mutex: msg.Mutex,
-		Dir:   dir,
-	})
-}
-
-// acqResult is acquire's outcome: granted, refused because the home is
-// frozen for handoff, or refused because the directory moved the mutex to
-// a sibling shard.
-type acqResult int
-
-const (
-	acqGranted acqResult = iota
-	acqFrozen
-	acqNotOwned
-)
-
-// acquire blocks until mutex idx is held by rank's thread, or reports
-// why it cannot be (the freeze and ownership checks are atomic with the
-// grant — a check-then-acquire would race the detach snapshot or a
-// MigrateLockIf publish, both of which run under h.mu). A waiter enqueued
-// before the freeze may still be granted afterwards via release handoff;
-// the unbroken held chain keeps the snapshot waiting until that thread
-// releases. A waiter can never be orphaned by lock migration: MigrateLockIf
-// refuses to move a mutex with holders or waiters.
-func (h *Home) acquire(idx, rank int32) acqResult {
+// acquire blocks until mutex idx is held by rank's thread and reports true,
+// or reports false when the home is frozen for handoff (the freeze check is
+// atomic with the grant — a check-then-acquire would race the detach
+// snapshot, which runs under h.mu). A waiter enqueued before the freeze may
+// still be granted afterwards via release handoff; the unbroken held chain
+// keeps the snapshot waiting until that thread releases.
+func (h *Home) acquire(idx, rank int32) bool {
 	h.mu.Lock()
 	for h.frozen {
 		// Park until the detach resolves either way: a published successor
@@ -1041,14 +869,10 @@ func (h *Home) acquire(idx, rank int32) acqResult {
 		h.mu.Unlock()
 		select {
 		case <-h.redirectReady:
-			return acqFrozen
+			return false
 		case <-thawed:
 		}
 		h.mu.Lock()
-	}
-	if !h.ownsLock(idx) {
-		h.mu.Unlock()
-		return acqNotOwned
 	}
 	ls := h.locks[idx]
 	if ls == nil {
@@ -1060,7 +884,7 @@ func (h *Home) acquire(idx, rank int32) acqResult {
 		ls.holder = rank
 		h.repRecord(wire.Replication{Event: wire.RepLock, Rank: rank, Mutex: idx})
 		h.mu.Unlock()
-		return acqGranted
+		return true
 	}
 	if ls.holder == rank {
 		// Replayed request from a reconnected holder whose grant was
@@ -1068,13 +892,13 @@ func (h *Home) acquire(idx, rank int32) acqResult {
 		// ourselves. Well-synchronized programs never double-lock, so
 		// this branch only fires on replay.
 		h.mu.Unlock()
-		return acqGranted
+		return true
 	}
 	ch := make(chan struct{})
 	ls.waiters = append(ls.waiters, lockWaiter{ch: ch, rank: rank})
 	h.mu.Unlock()
 	<-ch // ownership handed off by release
-	return acqGranted
+	return true
 }
 
 // releaseIfHolder hands mutex idx to the oldest waiter (FIFO) or marks it
@@ -1247,16 +1071,6 @@ func (h *Home) applyUpdates(p *peer, msg *wire.Message) error {
 		// writes) but would re-queue spans; skip cleanly.
 		return nil
 	}
-	// Ownership gate, atomic with migration (TransferEntry publishes under
-	// both home mutexes): refuse the WHOLE request before any write lands,
-	// so a partial application can never slip through a stale cache. The
-	// check sits after the replay gate — entries this shard applied while
-	// it owned them stay deduplicated even after they migrate away.
-	for _, cv := range p.convs {
-		if !h.ownsEntry(cv.span.Entry) {
-			return errNotOwned
-		}
-	}
 	h.dirty = true
 	replicating := len(h.reps) > 0
 	// Every other registered rank gets the spans queued, and so do
@@ -1330,19 +1144,7 @@ func (h *Home) peekPending(p *peer) ([]wire.Update, int) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	mark := len(h.pending[p.rank])
-	// Entries that migrated away since their spans were queued must not be
-	// materialized from our master copy — the new owner may have applied
-	// newer releases, making ours stale. The new owner queued conservative
-	// full-entry spans for every rank at transfer time, so dropping the
-	// stale ones here loses nothing. The mark still covers the raw prefix:
-	// the drop happens at materialization, never by editing the queue.
-	spans := p.grant[:0]
-	for _, s := range h.pending[p.rank] {
-		if h.ownsEntry(s.Entry) {
-			spans = append(spans, s)
-		}
-	}
-	spans = indextable.MergeInPlace(spans)
+	spans := indextable.MergeInPlace(append(p.grant[:0], h.pending[p.rank]...))
 	p.grant = spans
 	if len(spans) == 0 {
 		return nil, mark
@@ -1389,7 +1191,7 @@ func (h *Home) peekPending(p *peer) ([]wire.Update, int) {
 
 // commitPending drains the first mark raw entries of a rank's pending
 // queue — the prefix a prior peekPending materialized — now that their
-// delivery is confirmed (a later request arrived, or a sync ack).
+// delivery is confirmed (a later request arrived).
 func (h *Home) commitPending(p *peer, mark int) {
 	h.mu.Lock()
 	// In place: every reader of a queue copies it under h.mu, so the
@@ -1442,7 +1244,6 @@ func (h *Home) StartReplication(r Replicator) error {
 // fencing epoch so peers can detect a stale incarnation.
 func (h *Home) send(c transport.Conn, m *wire.Message) error {
 	m.Epoch = h.epoch
-	m.Shard = h.opts.Shard
 	start := time.Now()
 	frame, err := wire.Encode(m)
 	if err != nil {
@@ -1487,10 +1288,6 @@ func (h *Home) QueueStats() []QueueStat {
 	return out
 }
 
-// DeadlineExceeded returns how many budget-bounded home-side waits expired
-// on a requester's stamped deadline budget (0 with the plane unused).
-func (h *Home) DeadlineExceeded() uint64 { return h.deadlineHits.Load() }
-
 // recv receives and decodes (t_unpack) a message into m, the caller's
 // receive buffer, and returns m. Update-bearing requests get an unpack
 // span against their (rank, seq) release id — the home-side continuation
@@ -1500,33 +1297,6 @@ func (h *Home) recv(c transport.Conn, m *wire.Message) (*wire.Message, error) {
 	if err != nil {
 		return nil, err
 	}
-	return h.decode(frame, m)
-}
-
-// recvBudget receives like recv but bounds the wait by the peer-supplied
-// relative budget (the request's DeadlineMS): the home must not block its
-// stub longer than the peer is willing to wait, or a vanished peer pins
-// home-side state (a granted lock, an undrained pending queue) for the
-// whole TCP timeout. Zero budget means the peer runs undeadlined — wait
-// indefinitely, the seed behavior.
-func (h *Home) recvBudget(c transport.Conn, budgetMS uint32, m *wire.Message) (*wire.Message, error) {
-	if budgetMS == 0 {
-		return h.recv(c, m)
-	}
-	frame, err := transport.RecvFrameDeadline(c, time.Now().Add(time.Duration(budgetMS)*time.Millisecond))
-	if err != nil {
-		if errors.Is(err, transport.ErrDeadline) {
-			h.deadlineHits.Add(1)
-			h.hm.deadlines.Inc()
-		}
-		return nil, err
-	}
-	return h.decode(frame, m)
-}
-
-// decode is recv's second half: unpack a received frame into m and record
-// its telemetry.
-func (h *Home) decode(frame []byte, m *wire.Message) (*wire.Message, error) {
 	h.hm.frameRecv.Observe(float64(len(frame)))
 	start := time.Now()
 	if err := wire.DecodeInto(m, frame); err != nil {

@@ -64,20 +64,19 @@ type Thread struct {
 	// point, sorted and merged (each store is one InsertSpan). A local
 	// write is authoritative until its release ships it, so incoming
 	// updates (lock grants, barrier releases, fetch replies — in particular
-	// a home's conservative catch-up after a reconnect or an entry
-	// re-homing) must never overwrite these spans: doing so would silently
-	// lose the write, because applying remote data also rewrites the twin
-	// and erases the diff.
+	// a home's conservative catch-up after a reconnect or a restore) must
+	// never overwrite these spans: doing so would silently lose the write,
+	// because applying remote data also rewrites the twin and erases the
+	// diff.
 	pending []indextable.Span
 
 	// Buffers the thread owns and reuses across releases, so the steady
 	// state allocates no scratch: the release scan's spans, the updates
 	// built over them (views into the replica, valid until rearm), the
-	// heat samples, the receive message, conversion output, and the gaps
-	// an incoming update is applied through.
+	// receive message, conversion output, and the gaps an incoming update is
+	// applied through.
 	spans   []indextable.Span
 	updates []wire.Update
-	heat    []wire.HeatSample
 	in      wire.Message
 	conv    []byte
 	frags   []indextable.Span
@@ -565,7 +564,6 @@ func (t *Thread) Unlock(idx int) error {
 		Mutex:   int32(idx),
 		Rank:    t.rank,
 		Updates: updates,
-		Heat:    t.heatDelta(),
 	}
 	var shipStart time.Time
 	if t.observesReleases() {
@@ -597,7 +595,6 @@ func (t *Thread) Barrier(idx int) error {
 		Mutex:   int32(idx),
 		Rank:    t.rank,
 		Updates: updates,
-		Heat:    t.heatDelta(),
 	}
 	var shipStart time.Time
 	if t.observesReleases() {
@@ -634,7 +631,6 @@ func (t *Thread) Flush() error {
 		Kind:    wire.KindFlushReq,
 		Rank:    t.rank,
 		Updates: updates,
-		Heat:    t.heatDelta(),
 	}
 	var shipStart time.Time
 	if t.observesReleases() {
@@ -658,7 +654,6 @@ func (t *Thread) Join() error {
 		Kind:    wire.KindJoinReq,
 		Rank:    t.rank,
 		Updates: updates,
-		Heat:    t.heatDelta(),
 	}
 	var shipStart time.Time
 	if t.observesReleases() {
@@ -682,25 +677,6 @@ func (t *Thread) Join() error {
 func (t *Thread) rearm() {
 	t.seg.ProtectAll()
 	t.pending = t.pending[:0]
-}
-
-// heatDelta returns the page-fault counts accrued since the last release
-// message — the pages that trapped since then — as piggyback samples for
-// the home's heat sink. Shipping deltas (not cumulative totals) lets the
-// sink accumulate across releases without per-thread bookkeeping; a
-// replayed release re-delivers its samples, a harmless overcount for an
-// advisory signal. Returns nil when nothing new trapped, costing the
-// message no bytes. The slice is the thread's own, valid until the next
-// release.
-func (t *Thread) heatDelta() []wire.HeatSample {
-	t.heat = t.heat[:0]
-	t.seg.TakeFaults(func(page int, faults uint64) {
-		t.heat = append(t.heat, wire.HeatSample{Page: int32(page), Faults: uint32(faults)})
-	})
-	if len(t.heat) == 0 {
-		return nil
-	}
-	return t.heat
 }
 
 // collectUpdates runs the release-side pipeline: the fused twin scan and
@@ -794,7 +770,7 @@ func (t *Thread) applyIncoming(msg *wire.Message) error {
 		// Apply around the pending set: a span written locally since the
 		// last release is authoritative here (exactly as the RC model keeps
 		// dirty cells through an acquire's refresh), and a conservative
-		// catch-up grant after a reconnect or re-homing must not erase it.
+		// catch-up grant after a reconnect or a restore must not erase it.
 		t.frags = indextable.AppendGaps(t.frags[:0], t.pending, span)
 		for _, f := range t.frags {
 			off := e.Offset + f.First*e.ElemSize
@@ -833,15 +809,6 @@ func (t *Thread) sendOn(c transport.Conn, m *wire.Message) error {
 	// Echo the adopted epoch: a stale home that receives a frame stamped
 	// with a higher epoch fences itself.
 	m.Epoch = t.homeEpoch
-	// Stamp the remaining attempt budget (relative, so it survives clock
-	// skew) so the home can bound its own blocking on our behalf. Re-stamped
-	// per transmission: a replay carries its fresh attempt's budget.
-	if !t.deadline.IsZero() {
-		m.DeadlineMS = 0
-		if rem := time.Until(t.deadline); rem > 0 {
-			m.DeadlineMS = uint32(rem/time.Millisecond) + 1
-		}
-	}
 	start := time.Now()
 	frame, err := t.frames.encode(m)
 	if err != nil {

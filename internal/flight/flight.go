@@ -2,7 +2,7 @@
 // preallocated, nil-safe ring of one event type that every plane records
 // into. A protocol moment (a grant, a barrier arrival, a fence, a restart)
 // and a timed release stage (a span: index, tag, pack, ship, unpack, conv,
-// apply, wal-fsync, replicate, forward) are both one Event; a span is an
+// apply, wal-fsync, replicate) are both one Event; a span is an
 // event with a duration. Recording is a mutex-guarded struct store into a
 // preallocated slot — no allocation, no formatting, no I/O — and a nil
 // *Ring is a valid disabled sink, so the ring can stay compiled into every
@@ -11,7 +11,7 @@
 // Every output is a filter or a rendering of the retained events:
 //
 //   - the black-box dump (Format, Trip, SIGQUIT): the retained moments,
-//     handed to the OnTrip sink when a home fences, a shard restarts, the
+//     handed to the OnTrip sink when a home fences, a home restarts, the
 //     checker flags a violation, or an operator sends SIGQUIT;
 //   - the protocol-event lines (Lines, WriteLines): the /trace endpoint,
 //     -trace-out and dsmrun -trace;
@@ -41,8 +41,7 @@ const (
 	// KindHello is a thread registration at the home; Detail names the
 	// thread's platform.
 	KindHello
-	// KindLockGrant is a mutex grant (home side); A is -1 and Detail
-	// "sync" for a sharded-directory sync grant.
+	// KindLockGrant is a mutex grant (home side).
 	KindLockGrant
 	// KindUnlock is a mutex release with updates (home side).
 	KindUnlock
@@ -55,7 +54,7 @@ const (
 	// KindJoin is a thread termination announcement.
 	KindJoin
 	// KindRedirect is a thread bounced to a new home; Detail is the new
-	// address, or the forwarded request kind for a directory correction.
+	// address.
 	KindRedirect
 	// KindApply is an update batch applied to a thread's replica; Detail
 	// names the sender's platform.
@@ -77,11 +76,8 @@ const (
 	KindFence
 	// KindEpochAdopt is a client adopting a higher epoch A (was B).
 	KindEpochAdopt
-	// KindMigrate is an entry re-homing: entry A moved to shard B (Rank
-	// holds the source shard).
-	KindMigrate
-	// KindRestart is a home or shard incarnation change: shard Rank (-1 for
-	// a single home) restarted into epoch A having replayed B log records.
+	// KindRestart is a home incarnation change: the home (Rank -1)
+	// restarted into epoch A having replayed B log records.
 	KindRestart
 	// KindViolation is a checker verdict; A counts the violations.
 	KindViolation
@@ -109,7 +105,6 @@ var kindNames = [...]string{
 	KindReplicate:     "replicate",
 	KindFence:         "fence",
 	KindEpochAdopt:    "epoch-adopt",
-	KindMigrate:       "migrate",
 	KindRestart:       "restart",
 	KindViolation:     "violation",
 	KindSpan:          "span",
@@ -160,7 +155,7 @@ type Event struct {
 	Node string
 	// Detail is a span's stage, or a moment's context.
 	Detail string
-	// Rank is the involved thread or shard; -1 when not applicable.
+	// Rank is the involved thread; -1 when not applicable.
 	Rank int32
 	// Kind discriminates the event.
 	Kind Kind

@@ -24,7 +24,6 @@ type CorpusEntry struct {
 	Locks    int    `json:"locks,omitempty"`
 	Threads  int    `json:"threads,omitempty"`
 	Steps    int    `json:"steps,omitempty"`
-	Shards   int    `json:"shards,omitempty"`
 	Negative bool   `json:"negative,omitempty"`
 	// Trace is the minimized violation trace captured when the entry was
 	// appended — context for debugging, not replayed.
@@ -42,7 +41,6 @@ func (e CorpusEntry) Plan() Plan {
 	}
 	p.Grammar = e.Grammar
 	p.Locks = e.Locks
-	p.Shards = e.Shards
 	p.Negative = e.Negative
 	return p
 }
@@ -62,9 +60,6 @@ func EntryForResult(res Result) CorpusEntry {
 	}
 	if p.Grammar != "classic" {
 		e.Grammar = p.Grammar
-	}
-	if p.Shards > 1 {
-		e.Shards = p.Shards
 	}
 	if len(res.Violations) > 0 {
 		v := res.Violations[0]

@@ -22,8 +22,6 @@ func faultsFor(plan Plan, lay layout) (transport.FaultPlan, string) {
 		fp.P = 0.01
 	case plan.Profile == ProfileLostAck:
 		fp.P, kinds = 0.25, lostAckKinds(plan.Seed)
-	case plan.Profile == ProfileMigrate:
-		fp.P, kinds = 0.2, migrateKinds(plan.Seed)
 	case plan.Profile == ProfileStall: // slow peer
 		fp.Latency, fp.StallEvery, fp.StallFor = 200*time.Microsecond, 31, 2*time.Millisecond
 	case plan.Profile == ProfileDribble: // slow NIC, trickled writes

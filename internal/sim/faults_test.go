@@ -111,11 +111,6 @@ func TestFaultsGoldenSchedules(t *testing.T) {
 		{"lostack/seed2", planFaults(2, ProfileLostAck), 2000, []int{14, 29, 92, 179, 186, 249, 424, 567, 886, 1125, 1204, 1211, 1298, 1361, 1368, 1375, 1446, 1517, 1676, 1763, 1834, 1841, 1912, 1919, 1990}},
 		{"lostack/seed3", planFaults(3, ProfileLostAck), 2000, []int{404}},
 		{"lostack/seed4", planFaults(4, ProfileLostAck), 2000, []int{8, 17, 486, 495, 734, 803, 1042, 1131, 1360, 1519, 1528, 1597, 1676, 1845}},
-		{"migrate/seed0", planFaults(0, ProfileMigrate), 2000, []int{288, 527, 766, 1405}},
-		{"migrate/seed1", planFaults(1, ProfileMigrate), 2000, []int{530, 609, 688}},
-		{"migrate/seed2", planFaults(2, ProfileMigrate), 2000, []int{52, 211, 290, 769, 1408, 1727}},
-		{"migrate/seed3", planFaults(3, ProfileMigrate), 2000, []int{1012, 1091, 1324, 1643, 1722, 1881}},
-		{"migrate/seed4", planFaults(4, ProfileMigrate), 2000, []int{50, 527, 528, 767, 844, 1083, 1164, 1401, 1560, 1719, 1880}},
 	}
 	for _, k := range kills {
 		nw := transport.NewFaults(transport.NewInproc(), k.plan)

@@ -74,14 +74,14 @@ func TestGrammarUnderFaults(t *testing.T) {
 	}
 }
 
-// TestGrammarShardedPointer runs the pointer mix on the sharded directory:
-// published pointers must survive entry re-homing and heterogeneous
-// translation across shards.
-func TestGrammarShardedPointer(t *testing.T) {
-	plan := NewPlan(4, ProfileMigrate, "SL")
+// TestGrammarPointerSurvivesRestart runs the pointer mix across a home
+// crash and WAL restart: published pointers must survive the image import
+// and record replay, and heterogeneous translation on either side of it.
+func TestGrammarPointerSurvivesRestart(t *testing.T) {
+	plan := NewPlan(4, ProfileHomeCrashRestart, "SL")
 	plan.Grammar = "pointer"
 	if res := Run(plan); !res.OK() {
-		t.Fatalf("pointer grammar under migrate failed:\n%s", res.Report())
+		t.Fatalf("pointer grammar under homecrash-restart failed:\n%s", res.Report())
 	}
 }
 
@@ -175,7 +175,7 @@ func TestPlanValidate(t *testing.T) {
 		wantErr string
 	}{
 		{"negative_faulty", func(p *Plan) { p.Profile = ProfileFlaky; p.Negative = true }, "-negative requires the clean profile"},
-		{"shards_failover", func(p *Plan) { p.Profile = ProfileFailover; p.Shards = 4 }, "does not compose with -shards"},
+		{"retired_profile", func(p *Plan) { p.Profile = "migrate" }, "unknown profile"},
 		{"zero_weights", func(p *Plan) { p.Grammar = "cs:0,pair:0" }, "sum to zero"},
 		{"bad_grammar", func(p *Plan) { p.Grammar = "nope" }, "unknown grammar"},
 		{"locks_range", func(p *Plan) { p.Locks = 1 }, "-locks 1 out of range"},
@@ -201,6 +201,10 @@ func FuzzGrammarPlan(f *testing.F) {
 		}
 	}
 	f.Add(int64(42), uint8(5), uint8(1), uint8(2), uint8(8), uint8(4))
+	// The seeds of the retired sharded corpus entries stay fuzz inputs.
+	for i, seed := range []int64{0, 1, 2, 4} {
+		f.Add(seed, uint8(i), uint8(i%3), uint8(3), uint8(10), uint8(0))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, gi, mi, threads, steps, locks uint8) {
 		grammars := GrammarMixes()
 		mixes := Mixes()

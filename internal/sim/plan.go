@@ -50,12 +50,6 @@ const (
 	// same process restarts it from its write-ahead log and every thread
 	// reconnects and replays idempotently.
 	ProfileHomeCrashRestart Profile = "homecrash-restart"
-	// ProfileMigrate runs the multi-home sharded directory (Plan.Shards
-	// homes) and attacks it three ways at once: forced entry re-homings on
-	// a seeded schedule, biased drops of the sharding wire kinds
-	// (sync-req/reply/ack, dir-forward), and a mid-run shard kill+restart
-	// from its write-ahead log right after an entry migrated onto it.
-	ProfileMigrate Profile = "migrate"
 	// ProfileStall slows every connection with seeded per-frame latency and
 	// periodic full-stall windows (transport.Faults) — the slow-peer fault
 	// family: frames arrive exactly once, in order and unchanged, only
@@ -70,20 +64,8 @@ const (
 // Profiles returns every fault profile, in sweep order.
 func Profiles() []Profile {
 	return []Profile{ProfileClean, ProfileFlaky, ProfilePartition, ProfileFailover,
-		ProfileHandoff, ProfileLostAck, ProfileHomeCrashRestart, ProfileMigrate,
+		ProfileHandoff, ProfileLostAck, ProfileHomeCrashRestart,
 		ProfileStall, ProfileDribble}
-}
-
-// Shardable reports whether the profile composes with Plan.Shards > 1.
-// The rest script single-home fates — failover, handoff, whole-home
-// partitions, the single home's crash-restart.
-func (p Profile) Shardable() bool {
-	switch p {
-	case ProfileClean, ProfileFlaky, ProfileLostAck, ProfileMigrate,
-		ProfileStall, ProfileDribble:
-		return true
-	}
-	return false
 }
 
 // ValidProfile reports whether p names a known profile.
@@ -130,13 +112,6 @@ type Plan struct {
 	// update payload; the run is then expected to FAIL validation. dsmsim
 	// uses it to test the oracle itself.
 	Negative bool
-	// Shards runs the deployment as a multi-home sharded directory with
-	// this many home shards instead of a single home (default 1; the
-	// migrate profile defaults to 4). Only the clean, flaky, lostack,
-	// migrate, stall and dribble profiles compose with Shards > 1 — the
-	// others script single-home fates (failover, handoff, whole-home
-	// partitions).
-	Shards int
 }
 
 // NewPlan returns the default-shaped plan for a seed, profile and mix.
@@ -161,12 +136,6 @@ func (p Plan) withDefaults() Plan {
 	if p.Grammar == "" {
 		p.Grammar = "classic"
 	}
-	if p.Shards <= 0 {
-		p.Shards = 1
-	}
-	if p.Profile == ProfileMigrate && p.Shards < 2 {
-		p.Shards = 4
-	}
 	return p
 }
 
@@ -179,7 +148,7 @@ const (
 
 // Validate reports the first problem that would make the plan fail mid-run
 // — an unknown profile or grammar, zero-weight mixes, negative mode on a
-// faulty profile, shards on a profile scripting single-home fates — so
+// faulty profile — so
 // callers can reject bad flag combinations up front with one actionable
 // message.
 func (p Plan) Validate() error {
@@ -205,10 +174,6 @@ func (p Plan) Validate() error {
 	if q.Negative && q.Profile != ProfileClean {
 		return fmt.Errorf("sim: -negative requires the clean profile (got %q): corruption detection is only provable when the corruption is the sole fault", q.Profile)
 	}
-	if q.Shards > 1 && !q.Profile.Shardable() {
-		return fmt.Errorf("sim: profile %q does not compose with -shards %d (want clean, flaky, lostack, migrate, stall or dribble — the rest script single-home fates)",
-			q.Profile, q.Shards)
-	}
 	return nil
 }
 
@@ -220,9 +185,6 @@ func (p Plan) String() string {
 	}
 	if p.Locks != 0 {
 		s += fmt.Sprintf(" -locks %d", p.Locks)
-	}
-	if p.Shards > 1 {
-		s += fmt.Sprintf(" -shards %d", p.Shards)
 	}
 	if p.Negative {
 		s += " -negative"

@@ -103,7 +103,6 @@ func TestCorpusEntryPlanFidelity(t *testing.T) {
 	plan.Locks = 5
 	plan.Threads = 4
 	plan.Steps = 30
-	plan.Shards = 2
 	e := EntryForResult(Result{Plan: plan.withDefaults()})
 	if got, want := e.Plan().withDefaults(), plan.withDefaults(); got != want {
 		t.Errorf("plan did not survive the corpus round trip:\n got %+v\nwant %+v", got, want)

@@ -166,9 +166,6 @@ func run(plan Plan) Result {
 		return res
 	}
 	lay := layoutFor(plan, gm)
-	if plan.Shards > 1 {
-		return runShardedSim(plan, gm, lay, homePlat, threadPlats)
-	}
 
 	rng := rand.New(rand.NewSource(plan.Seed))
 	clock := vclock.NewVirtual(time.Time{})
@@ -491,9 +488,8 @@ func (r *Result) attachEvents(ring *flight.Ring) {
 	r.FlightDump = ring.String()
 }
 
-// compareMaster checks the final master state (a single home's globals, or
-// the sharded directory's stitched image) cell-by-cell against the model's
-// committed state — every integer member of the layout, and every
+// compareMaster checks the home's final master state cell-by-cell against
+// the model's committed state — every integer member of the layout, and every
 // committed pointer target when the layout has pointer slots.
 func compareMaster(g *dsd.Globals, events []check.Event, lay layout) []check.Violation {
 	model := check.FinalState(events)

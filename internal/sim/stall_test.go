@@ -35,25 +35,26 @@ func TestStallCanonicalMatchesClean(t *testing.T) {
 	}
 }
 
-// The stall profiles compose with the sharded directory; the trace must
-// still match the sharded clean run for the same seed.
-func TestStallShardedCanonicalMatchesClean(t *testing.T) {
+// The stall profiles compose with the grammar workloads too: a chaos-mix
+// trace on a homogeneous pair must still match its clean run for the same
+// seed.
+func TestStallGrammarCanonicalMatchesClean(t *testing.T) {
 	mk := func(prof Profile) Plan {
 		p := NewPlan(9, prof, "LL")
-		p.Shards = 2
+		p.Grammar = "chaos"
 		return p
 	}
 	clean := Run(mk(ProfileClean))
 	if !clean.OK() {
-		t.Fatalf("sharded clean:\n%s", clean.Report())
+		t.Fatalf("chaos clean:\n%s", clean.Report())
 	}
 	for _, prof := range []Profile{ProfileStall, ProfileDribble} {
 		res := Run(mk(prof))
 		if !res.OK() {
-			t.Fatalf("sharded %s:\n%s", prof, res.Report())
+			t.Fatalf("chaos %s:\n%s", prof, res.Report())
 		}
 		if !bytes.Equal(res.Canonical, clean.Canonical) {
-			t.Fatalf("sharded %s trace diverged from clean", prof)
+			t.Fatalf("chaos %s trace diverged from clean", prof)
 		}
 	}
 }

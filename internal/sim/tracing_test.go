@@ -8,18 +8,16 @@ import (
 	"hetdsm/internal/telemetry"
 )
 
-// TestTracedReleaseCrossesThreeNodes is the tentpole acceptance: a seeded
-// sharded run with forced migrations must yield at least one release whose
-// causal chain is stitched across three or more nodes (sender thread,
-// shard home, WAL) with correct parent/child span ids at every hop — in
-// particular the cross-node edge where the home's unpack span names the
-// sender's ship span as its parent without the id ever crossing the wire.
+// TestTracedReleaseCrossesThreeNodes: a seeded run with a write-ahead log
+// must yield at least one release whose causal chain is stitched across
+// three or more nodes (sender thread, home, WAL) with correct parent/child
+// span ids at every hop — in particular the cross-node edge where the
+// home's unpack span names the sender's ship span as its parent without
+// the id ever crossing the wire.
 func TestTracedReleaseCrossesThreeNodes(t *testing.T) {
-	plan := NewPlan(5, ProfileMigrate, "LL")
-	plan.Shards = 2
-	res := Run(plan)
+	res := Run(NewPlan(5, ProfileHomeCrashRestart, "LL"))
 	if !res.OK() {
-		t.Fatalf("migrate run failed:\n%s", res.Report())
+		t.Fatalf("homecrash-restart run failed:\n%s", res.Report())
 	}
 	if len(res.Spans) == 0 {
 		t.Fatal("run recorded no spans")
@@ -67,21 +65,18 @@ func TestTracedReleaseCrossesThreeNodes(t *testing.T) {
 	}
 }
 
-// TestFlightDumpCoversShardRestart pins the black-box acceptance: the
-// migrate profile's mid-run shard kill must leave a restart event (with
-// the bumped epoch) in the run's flight dump, alongside the steady-state
-// grants and migrations that preceded it.
-func TestFlightDumpCoversShardRestart(t *testing.T) {
-	plan := NewPlan(5, ProfileMigrate, "LL")
-	plan.Shards = 2
-	res := Run(plan)
+// TestFlightDumpCoversHomeRestart pins the black-box acceptance: the
+// mid-run home kill must leave a restart event in the run's flight dump,
+// alongside the steady-state grants and barriers that preceded it.
+func TestFlightDumpCoversHomeRestart(t *testing.T) {
+	res := Run(NewPlan(5, ProfileHomeCrashRestart, "LL"))
 	if !res.OK() {
-		t.Fatalf("migrate run failed:\n%s", res.Report())
+		t.Fatalf("homecrash-restart run failed:\n%s", res.Report())
 	}
 	if res.FlightDump == "" {
 		t.Fatal("run produced no flight dump")
 	}
-	for _, want := range []string{"restart", "migrate", "grant"} {
+	for _, want := range []string{"restart", "grant", "barrier-open"} {
 		if !strings.Contains(res.FlightDump, want) {
 			t.Fatalf("flight dump missing %q events:\n%s", want, res.FlightDump)
 		}
@@ -105,8 +100,7 @@ func TestFlightDumpOnWALRecovery(t *testing.T) {
 // canonical trace to stay byte-identical: span recording must never leak
 // into the event stream the replay guarantee is built on.
 func TestTracingPreservesDeterminism(t *testing.T) {
-	plan := NewPlan(11, ProfileMigrate, "SL")
-	plan.Shards = 2
+	plan := NewPlan(11, ProfileHomeCrashRestart, "SL")
 	a := Run(plan)
 	if !a.OK() {
 		t.Fatalf("first run:\n%s", a.Report())

@@ -4,7 +4,7 @@ import "sort"
 
 // Release is one release's merged cross-node timeline: every recorded
 // stage of one causal trace, ordered by wall-clock start. Spans carrying
-// a TraceID are grouped by it (so two shard incarnations reusing a
+// a TraceID are grouped by it (so two home incarnations reusing a
 // (rank, seq) pair stay distinct releases); legacy spans without one fall
 // back to (rank, seq) grouping.
 type Release struct {
@@ -118,7 +118,7 @@ func (r *Release) Latency() int64 {
 // group by it; spans without one group by (rank, seq) as before. Spans
 // with neither (Seq == 0 and no trace) are dropped. Releases are ordered
 // by rank, then seq, then trace id — so duplicate (rank, seq) pairs from
-// different shard epochs appear as adjacent but distinct releases.
+// different home epochs appear as adjacent but distinct releases.
 func MergeTimeline(logs ...[]Span) []Release {
 	type key struct {
 		trace uint64

@@ -12,8 +12,7 @@ import (
 // The stages of one release as it moves through the DSD pipeline. The
 // sender emits index, tag, pack and ship; the home emits unpack, conv
 // and apply; the durability and replication tails emit wal-fsync and
-// replicate; the sharded directory emits forward for one-hop ownership
-// corrections. A merged timeline for one trace id therefore shows the
+// replicate. A merged timeline for one trace id therefore shows the
 // paper's Eq. 1 components as an actual cross-node causal DAG instead of
 // an aggregate sum.
 const (
@@ -31,9 +30,6 @@ const (
 	StageConv = "conv"
 	// StageApply is the master-copy write plus pending-queue fan-out.
 	StageApply = "apply"
-	// StageForward is a sharded-directory one-hop correction: the time a
-	// request spent at the wrong shard before being re-sent to the owner.
-	StageForward = "forward"
 	// StageWAL is the write-ahead-log group-commit fsync covering the
 	// release's replication records (enqueue to durable).
 	StageWAL = "wal-fsync"
@@ -46,7 +42,7 @@ const (
 // (rank, seq) pair the wire protocol stamps on every request; causal
 // correlation uses TraceID (one per release, unique process-wide) with
 // SpanID/Parent edges, so the same release can be stitched across a
-// directory forward, a migration, or a shard-epoch reuse of (rank, seq).
+// redirect, a migration, or a home-epoch reuse of (rank, seq).
 type Span struct {
 	// Rank is the releasing thread's rank.
 	Rank int32 `json:"rank"`
@@ -75,7 +71,7 @@ type Span struct {
 // End returns the span's wall-clock end in Unix nanoseconds.
 func (s *Span) End() int64 { return s.Start + s.Dur }
 
-// traceCounter feeds NewTraceID; process-wide so two shard incarnations
+// traceCounter feeds NewTraceID; process-wide so two home incarnations
 // can never mint the same trace id even for the same (rank, seq).
 var traceCounter atomic.Uint64
 

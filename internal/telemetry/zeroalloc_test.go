@@ -65,7 +65,7 @@ func TestEnabledEventsZeroAlloc(t *testing.T) {
 	r := flight.New(256)
 	start := time.Unix(0, 0)
 	stages := []string{StageIndex, StageTag, StagePack, StageShip, StageUnpack, StageConv,
-		StageApply, StageForward, StageWAL, StageReplicate}
+		StageApply, StageWAL, StageReplicate}
 	allocs := testing.AllocsPerRun(1000, func() {
 		for k := flight.KindHello; k < flight.KindSpan; k++ {
 			r.Note("home@linux-x86", k, 1, 2, 64, "solaris-sparc")

@@ -123,21 +123,6 @@ func (q *SendQueue) SendFrame(frame []byte) error {
 // RecvFrame implements Conn, reading directly from the wrapped conn.
 func (q *SendQueue) RecvFrame() ([]byte, error) { return q.conn.RecvFrame() }
 
-// SendFrameDeadline implements DeadlineConn. Enqueueing never blocks past
-// the queue's own policy (shed returns immediately; block is bounded by the
-// drain), so the deadline is not applied at enqueue time — it would start
-// counting queue wait against a frame the writer owns.
-func (q *SendQueue) SendFrameDeadline(frame []byte, _ time.Time) error {
-	return q.SendFrame(frame)
-}
-
-// RecvFrameDeadline implements DeadlineConn by forwarding to the wrapped
-// conn, so budget-bounded waits (a home shard's sync-ack wait) work through
-// the queue.
-func (q *SendQueue) RecvFrameDeadline(deadline time.Time) ([]byte, error) {
-	return RecvFrameDeadline(q.conn, deadline)
-}
-
 // Close implements Conn: it closes the wrapped conn and stops the writer.
 func (q *SendQueue) Close() error {
 	q.quitOnce.Do(func() { close(q.quit) })

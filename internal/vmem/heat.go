@@ -59,18 +59,6 @@ func (s *Segment) NoteDiff(page, runs, bytes int) {
 	s.heatDiffBytes[page] += uint64(bytes)
 }
 
-// TakeFaults calls f once for every page that trapped since the previous
-// TakeFaults, in first-trap order, with the number of traps it took, and
-// starts a new window. A release piggybacks exactly these deltas, so an
-// empty release costs nothing here however much of the segment is hot.
-func (s *Segment) TakeFaults(f func(page int, faults uint64)) {
-	for _, p := range s.touched {
-		f(p, s.heatFaults[p]-s.shipped[p])
-		s.shipped[p] = s.heatFaults[p]
-	}
-	s.touched = s.touched[:0]
-}
-
 // sortHeat orders hottest-first.
 func sortHeat(pages []PageHeat) {
 	sort.SliceStable(pages, func(i, j int) bool {

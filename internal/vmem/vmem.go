@@ -54,10 +54,6 @@ type Segment struct {
 	heatDiffRuns  []uint64
 	heatDiffBytes []uint64
 	twinsMade     uint64
-	// shipped holds each page's fault count as of the last TakeFaults, and
-	// touched the pages that trapped since then, in trap order.
-	shipped []uint64
-	touched []int
 }
 
 // NewSegment creates a segment of the given size at virtual address base
@@ -84,7 +80,6 @@ func NewSegment(base uint64, size, pageSize int) (*Segment, error) {
 		heatFaults:    make([]uint64, pages),
 		heatDiffRuns:  make([]uint64, pages),
 		heatDiffBytes: make([]uint64, pages),
-		shipped:       make([]uint64, pages),
 	}, nil
 }
 
@@ -233,9 +228,6 @@ func (s *Segment) trap(p int) {
 	}
 	s.prot[p] = false
 	s.faults++
-	if s.heatFaults[p] == s.shipped[p] {
-		s.touched = append(s.touched, p)
-	}
 	s.heatFaults[p]++
 	s.twinsMade++
 	if s.onFault != nil {

@@ -3,10 +3,12 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -137,6 +139,51 @@ func TestOpenRefusesFixedWidthRecords(t *testing.T) {
 		if got, _ := os.ReadFile(path); !bytes.Equal(got, framed) {
 			t.Errorf("%s was modified by the refused Open", name)
 		}
+	}
+}
+
+// parentSnap and parentLog are a WAL directory written by the build before
+// the sharding fields were retired (wire.Version 1): a bootstrap snapshot
+// of testGThV on linux-x86, then one RepUpdate record in the log tail —
+// rank 1 wrote A[2..4] = 7, -3, 42 under request 5, traced as 9/10.
+const (
+	parentSnap = "0000004dca093e9f010101010101096c696e75782d78383680202000000000000000000000000000000000000000000000000000000000000000000a28342c382928302c3029000004010000000000000000010000"
+	parentLog  = "0000001ec899752301020202010001000406000c07000000fdffffff2a00000001020501090a"
+)
+
+// TestReplayParentFormatRepUpdate: retiring fields from the frame left
+// the record encoding alone, so a log the previous build wrote still
+// replays, update data and watermark included.
+func TestReplayParentFormatRepUpdate(t *testing.T) {
+	dir := t.TempDir()
+	for name, h := range map[string]string{snapName: parentSnap, logName: parentLog} {
+		b, err := hex.DecodeString(h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l := openTest(t, dir)
+	defer l.Close()
+	if l.Replayed() != 1 || l.Truncated() {
+		t.Fatalf("replayed %d records (truncated %v), want the one RepUpdate", l.Replayed(), l.Truncated())
+	}
+	home, err := l.RecoverHome(platform.LinuxX86, dsdDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer home.Close()
+	got, err := home.Globals().MustVar("A").Ints(0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []int64{0, 0, 7, -3, 42, 0, 0, 0}; !slices.Equal(got, want) {
+		t.Errorf("A = %v after replay, want %v", got, want)
+	}
+	if applied, _ := home.Watermarks(); applied[1] != 5 {
+		t.Errorf("rank 1 applied watermark %d, want 5", applied[1])
 	}
 }
 

@@ -21,10 +21,7 @@ func fullMessage(k Kind) *Message {
 			Updates: []Update{{Entry: 1, First: 0, Count: 1, Data: []byte{0, 0, 0, 7}}},
 			Marks:   []RepPair{{Rank: 1, Seq: 8}}, Epoch: 3, TraceID: 5, ParentSpan: 6,
 		},
-		Shard:   -1,
-		Dir:     []DirEntry{{Object: 5, Shard: 1, Ver: 9}, {Object: 0, Lock: true, Shard: 2, Ver: 4}},
-		Heat:    []HeatSample{{Page: 7, Faults: 12}},
-		TraceID: math.MaxUint64, ParentSpan: 11, DeadlineMS: math.MaxUint32,
+		TraceID: math.MaxUint64, ParentSpan: 11,
 	}
 }
 
@@ -71,8 +68,13 @@ func FuzzDecode(f *testing.F) {
 	}
 	other := slices.Clone(lock)
 	other[1] = Version + 1
-	f.Add(other)                                    // another encoding version
-	f.Add([]byte{byte(kindLockAck), Version, 0})    // the retired lock ack
+	f.Add(other) // another encoding version
+	for _, k := range []Kind{kindLockAck, kindSyncReq, kindSyncReply, kindSyncAck, kindDirForward} {
+		f.Add([]byte{byte(k), Version, 0}) // a retired kind
+	}
+	for _, bit := range []uint64{fRetired5, fRetired6, fRetired9, fRetired17} {
+		f.Add(binary.AppendUvarint(binary.AppendUvarint([]byte{byte(KindUnlockReq), Version}, bit), 1)) // a retired field
+	}
 	f.Add([]byte{byte(KindLockReq), Version, 0x80}) // truncated bitmap
 	seq := []byte{byte(KindLockReq), Version, byte(fSeq)}
 	f.Add(append(slices.Clone(seq), 0x80))                                              // truncated varint

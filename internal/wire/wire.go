@@ -41,7 +41,8 @@ var ErrVersion = errors.New("wire: unsupported encoding version")
 
 // Kind discriminates protocol messages. A kind's number is its frame's
 // first byte, which fault injection (transport.FaultPlan.Kinds) keys on, so
-// numbers are never reused.
+// numbers are never reused: a retired kind keeps its number, and the
+// decoder rejects it.
 type Kind uint8
 
 const (
@@ -103,21 +104,13 @@ const (
 	KindReplicate
 	// KindReplicateAck acknowledges a replication record by its Rep.Seq.
 	KindReplicateAck
-	// KindSyncReq asks a home shard for the sender's outstanding pending
-	// updates outside any lock or barrier. The sharded directory's proxy
-	// sends it to every shard after an acquire, so a grant gathers updates
-	// from all owners, not just the lock's.
-	KindSyncReq
-	// KindSyncReply carries the requested pending updates.
-	KindSyncReply
-	// KindSyncAck confirms a sync reply was applied; the shard drains the
-	// peeked pending prefix only on the ack.
-	KindSyncAck
-	// KindDirForward answers a request that hit a shard which no longer
-	// owns the touched entries (or lock): Dir carries the corrected
-	// entry→shard mappings from the authoritative directory, so a stale
-	// client cache chases at most one hop before re-sending.
-	KindDirForward
+	// kindSyncReq, kindSyncReply, kindSyncAck and kindDirForward were the
+	// sharded directory's gather round and ownership correction. Retired
+	// with it; their numbers stay reserved and the decoder rejects them.
+	kindSyncReq
+	kindSyncReply
+	kindSyncAck
+	kindDirForward
 	numKinds
 )
 
@@ -134,8 +127,8 @@ var kindNames = [...]string{
 	KindFetchReq: "fetch-req", KindFetchReply: "fetch-reply",
 	KindPing: "ping", KindPong: "pong",
 	KindReplicate: "replicate", KindReplicateAck: "replicate-ack",
-	KindSyncReq: "sync-req", KindSyncReply: "sync-reply", KindSyncAck: "sync-ack",
-	KindDirForward: "dir-forward",
+	kindSyncReq: "sync-req (retired)", kindSyncReply: "sync-reply (retired)", kindSyncAck: "sync-ack (retired)",
+	kindDirForward: "dir-forward (retired)",
 }
 
 // String returns the protocol name of the kind.
@@ -148,7 +141,7 @@ func (k Kind) String() string {
 
 // sendable reports whether frames of kind k may be encoded or decoded.
 func (k Kind) sendable() bool {
-	return k != KindInvalid && k != kindLockAck && k < numKinds
+	return k > KindInvalid && k < kindSyncReq && k != kindLockAck
 }
 
 // Update is one object-granular modification: an index-table span, its
@@ -164,32 +157,6 @@ type Update struct {
 	Tag string
 	// Data holds Count elements in the sender's byte representation.
 	Data []byte
-}
-
-// DirEntry is one directory mapping: an index-table entry (or, with Lock
-// set, a mutex index) and the shard that currently owns it. KindDirForward
-// replies carry the authoritative mappings for everything a misdelivered
-// request touched; Ver orders corrections so a late forward cannot roll a
-// client cache back to an older owner.
-type DirEntry struct {
-	// Object is the index-table entry id, or the mutex index when Lock.
-	Object int32
-	// Lock marks a mutex mapping rather than an entry mapping.
-	Lock bool
-	// Shard is the owning shard id.
-	Shard int32
-	// Ver is the directory version of this mapping (bumped per migration).
-	Ver uint64
-}
-
-// HeatSample is one page's write-trap activity since the sender's previous
-// release: threads piggyback their vmem heat deltas on release messages so
-// home shards can aggregate cluster-wide page heat and drive re-homing.
-type HeatSample struct {
-	// Page is the page index within the GThV segment.
-	Page int32
-	// Faults is the number of write traps the page took in the window.
-	Faults uint32
 }
 
 // ThreadState is a captured MigThread state in portable form: the logical
@@ -339,30 +306,14 @@ type Message struct {
 	// Rep carries the replication payload on KindReplicate and the acked
 	// sequence number on KindReplicateAck.
 	Rep *Replication
-	// Shard is the sending shard's id in a multi-home directory
-	// deployment; -1 (or 0 in single-home runs, where it is never read)
-	// when not applicable.
-	Shard int32
-	// Dir carries corrected directory mappings on KindDirForward.
-	Dir []DirEntry
-	// Heat carries the sender's page-fault deltas since its previous
-	// release; home shards aggregate them for heat-driven re-homing.
-	Heat []HeatSample
 	// TraceID identifies the causal trace this message belongs to (one
 	// trace per release or acquire), unique process-wide even when two
-	// shard incarnations reuse a (rank, seq) pair. Zero means untraced.
+	// home incarnations reuse a (rank, seq) pair. Zero means untraced.
 	TraceID uint64
 	// ParentSpan is the span id of the sender-side stage that emitted the
 	// message (the ship span for releases); receiver-side spans parent to
 	// it so the cross-node DAG stitches by id, not by (rank, seq) guess.
 	ParentSpan uint64
-	// DeadlineMS is the remaining per-operation budget in milliseconds,
-	// stamped by the client when dsd.Options.OpTimeout is set. It is a
-	// relative budget, not an absolute timestamp, so it survives clock
-	// skew between nodes; a receiver uses it to bound its own blocking on
-	// behalf of this request (the home's sync-ack wait). Zero means
-	// unbounded (the seed behavior).
-	DeadlineMS uint32
 }
 
 // FlagWarmReplica marks a Hello from a thread whose replica is already
@@ -371,18 +322,20 @@ type Message struct {
 const FlagWarmReplica uint8 = 1 << 0
 
 // Presence bits of the frame's field bitmap, in encoding order. The fields
-// synchronisation frames carry come first, so their bitmap is one byte.
+// synchronisation frames carry come first, so their bitmap is one byte. A
+// retired field keeps its bit, which stays out of fAll: the decoder refuses
+// a frame that sets it.
 const (
 	fSeq uint64 = 1 << iota
 	fRank
 	fMutex
 	fEpoch
 	fUpdates
-	fHeat
-	fShard
+	fRetired5 // page-heat samples
+	fRetired6 // sending shard id
 	fTraceID
 	fParentSpan
-	fDeadline
+	fRetired9 // remaining deadline budget
 	fPlatform
 	fBase
 	fProto
@@ -390,9 +343,9 @@ const (
 	fErr
 	fAddr
 	fState
-	fDir
+	fRetired17 // directory corrections
 	fRep
-	fAll = fRep<<1 - 1
+	fAll = (fRep<<1 - 1) &^ (fRetired5 | fRetired6 | fRetired9 | fRetired17)
 )
 
 // fields returns m's presence bitmap: a bit per non-zero field.
@@ -403,11 +356,9 @@ func (m *Message) fields() uint64 {
 		on  bool
 	}{
 		{fSeq, m.Seq != 0}, {fRank, m.Rank != 0}, {fMutex, m.Mutex != 0}, {fEpoch, m.Epoch != 0},
-		{fUpdates, len(m.Updates) > 0}, {fHeat, len(m.Heat) > 0}, {fShard, m.Shard != 0},
-		{fTraceID, m.TraceID != 0}, {fParentSpan, m.ParentSpan != 0}, {fDeadline, m.DeadlineMS != 0},
+		{fUpdates, len(m.Updates) > 0}, {fTraceID, m.TraceID != 0}, {fParentSpan, m.ParentSpan != 0},
 		{fPlatform, m.Platform != ""}, {fBase, m.Base != 0}, {fProto, m.Proto != 0}, {fFlags, m.Flags != 0},
-		{fErr, m.Err != ""}, {fAddr, m.Addr != ""}, {fState, m.State != nil}, {fDir, len(m.Dir) > 0},
-		{fRep, m.Rep != nil},
+		{fErr, m.Err != ""}, {fAddr, m.Addr != ""}, {fState, m.State != nil}, {fRep, m.Rep != nil},
 	} {
 		if p.on {
 			f |= p.bit
@@ -549,24 +500,11 @@ func (e *encoder) message(m *Message, f uint64) {
 	if f&fUpdates != 0 {
 		e.updates(m.Updates)
 	}
-	if f&fHeat != 0 {
-		e.uvarint(uint64(len(m.Heat)))
-		for _, hs := range m.Heat {
-			e.varint(int64(hs.Page))
-			e.uvarint(uint64(hs.Faults))
-		}
-	}
-	if f&fShard != 0 {
-		e.varint(int64(m.Shard))
-	}
 	if f&fTraceID != 0 {
 		e.uvarint(m.TraceID)
 	}
 	if f&fParentSpan != 0 {
 		e.uvarint(m.ParentSpan)
-	}
-	if f&fDeadline != 0 {
-		e.uvarint(uint64(m.DeadlineMS))
 	}
 	if f&fPlatform != 0 {
 		e.str(m.Platform)
@@ -593,15 +531,6 @@ func (e *encoder) message(m *Message, f uint64) {
 		e.bytes(st.Frame)
 		e.str(st.ExtraTag)
 		e.bytes(st.Extra)
-	}
-	if f&fDir != 0 {
-		e.uvarint(uint64(len(m.Dir)))
-		for _, de := range m.Dir {
-			e.varint(int64(de.Object))
-			e.flag(de.Lock)
-			e.varint(int64(de.Shard))
-			e.uvarint(de.Ver)
-		}
 	}
 	if f&fRep != 0 {
 		e.rep(m.Rep)
@@ -655,13 +584,13 @@ func Decode(b []byte) (*Message, error) {
 
 // DecodeInto is Decode into a message the caller owns, so a receive loop
 // that consumes each message before the next allocates no Message per
-// frame. m is overwritten whole; the backing arrays of m.Updates and m.Heat
-// are reused, also across frames that carry none, so a caller that keeps a
-// previous message's Updates or Heat slice must copy it first. Data slices
-// alias b, exactly as with Decode.
+// frame. m is overwritten whole; the backing array of m.Updates is reused,
+// also across frames that carry none, so a caller that keeps a previous
+// message's Updates slice must copy it first. Data slices alias b, exactly
+// as with Decode.
 func DecodeInto(m *Message, b []byte) error {
-	ups, heat := m.Updates[:0], m.Heat[:0]
-	*m = Message{Updates: ups, Heat: heat}
+	ups := m.Updates[:0]
+	*m = Message{Updates: ups}
 	if len(b) < 2 {
 		return fmt.Errorf("wire: %d-byte frame", len(b))
 	}
@@ -693,25 +622,11 @@ func DecodeInto(m *Message, b []byte) error {
 	if f&fUpdates != 0 {
 		m.Updates = d.updates(ups)
 	}
-	if f&fHeat != 0 {
-		if n := d.count("heat-sample", 2); n > 0 {
-			m.Heat = slices.Grow(heat, n)[:n]
-			for i := range m.Heat {
-				m.Heat[i] = HeatSample{Page: d.i32(), Faults: d.u32()}
-			}
-		}
-	}
-	if f&fShard != 0 {
-		m.Shard = d.i32()
-	}
 	if f&fTraceID != 0 {
 		m.TraceID = d.uvarint()
 	}
 	if f&fParentSpan != 0 {
 		m.ParentSpan = d.uvarint()
-	}
-	if f&fDeadline != 0 {
-		m.DeadlineMS = d.u32()
 	}
 	if f&fPlatform != 0 {
 		m.Platform = d.platform()
@@ -733,14 +648,6 @@ func DecodeInto(m *Message, b []byte) error {
 	}
 	if f&fState != 0 {
 		m.State = &ThreadState{PC: d.varint(), FrameTag: d.str(), Frame: d.bytes(), ExtraTag: d.str(), Extra: d.bytes()}
-	}
-	if f&fDir != 0 {
-		if n := d.count("dir-entry", 4); n > 0 {
-			m.Dir = make([]DirEntry, n)
-			for i := range m.Dir {
-				m.Dir[i] = DirEntry{Object: d.i32(), Lock: d.u8() == 1, Shard: d.i32(), Ver: d.uvarint()}
-			}
-		}
 	}
 	if f&fRep != 0 {
 		m.Rep = d.rep()
@@ -832,14 +739,6 @@ func (d *decoder) i32() int32 {
 		d.fail("varint overflows 32 bits at offset %d", d.off)
 	}
 	return int32(v)
-}
-
-func (d *decoder) u32() uint32 {
-	v := d.uvarint()
-	if v > math.MaxUint32 {
-		d.fail("uvarint %d overflows 32 bits at offset %d", v, d.off)
-	}
-	return uint32(v)
 }
 
 // raw decodes a length-prefixed byte string as a view into the frame.

@@ -25,7 +25,6 @@ func sampleMessage() *Message {
 			{Entry: 1, First: 10, Count: 3, Tag: "(4,3)", Data: []byte{0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3}},
 			{Entry: 4, First: 0, Count: 1, Tag: "(4,1)", Data: []byte{0, 0, 0, 9}},
 		},
-		DeadlineMS: 250,
 	}
 }
 
@@ -122,7 +121,7 @@ func TestDecodeRejectsCorruptInput(t *testing.T) {
 		}
 	}
 	// Field bits past the last field.
-	if _, err := Decode(binary.AppendUvarint([]byte{byte(KindLockReq), Version}, fAll+1)); err == nil {
+	if _, err := Decode(binary.AppendUvarint([]byte{byte(KindLockReq), Version}, fRep<<1)); err == nil {
 		t.Error("unknown field bit decoded successfully")
 	}
 }
@@ -148,8 +147,8 @@ func TestDecodeRejectsOtherVersions(t *testing.T) {
 // TestKindBytesStable pins every kind's number. It is the frame's first
 // byte, which fault plans aim at (transport.FaultPlan.Kinds, the sim's
 // lost-reply profiles and their golden schedules), so a number never moves
-// and is never reused: the retired lock ack keeps 5, and both codec
-// directions refuse it.
+// and is never reused: the retired lock ack keeps 5, the retired sharding
+// kinds keep 23–26, and both codec directions refuse them.
 func TestKindBytesStable(t *testing.T) {
 	pinned := []struct {
 		k Kind
@@ -160,11 +159,15 @@ func TestKindBytesStable(t *testing.T) {
 		{KindJoinReq, 10}, {KindJoinAck, 11}, {KindMigrate, 12}, {KindMigrateAck, 13},
 		{KindFlushReq, 14}, {KindFlushAck, 15}, {KindRedirect, 16}, {KindFetchReq, 17},
 		{KindFetchReply, 18}, {KindPing, 19}, {KindPong, 20}, {KindReplicate, 21},
-		{KindReplicateAck, 22}, {KindSyncReq, 23}, {KindSyncReply, 24}, {KindSyncAck, 25},
-		{KindDirForward, 26},
+		{KindReplicateAck, 22},
 	}
-	if len(pinned) != int(numKinds)-2 {
-		t.Fatalf("%d kinds pinned, %d sendable: pin the new kind's byte here", len(pinned), numKinds-2)
+	retired := []struct {
+		k Kind
+		b byte
+	}{{kindLockAck, 5}, {kindSyncReq, 23}, {kindSyncReply, 24}, {kindSyncAck, 25}, {kindDirForward, 26}}
+	if len(pinned)+len(retired) != int(numKinds)-1 {
+		t.Fatalf("%d kinds pinned, %d retired, %d numbered: pin the new kind's byte here",
+			len(pinned), len(retired), numKinds-1)
 	}
 	for _, p := range pinned {
 		if byte(p.k) != p.b {
@@ -180,14 +183,44 @@ func TestKindBytesStable(t *testing.T) {
 			}
 		}
 	}
-	if kindLockAck != 5 {
-		t.Errorf("the retired lock ack moved to %d", kindLockAck)
+	for _, r := range retired {
+		if byte(r.k) != r.b {
+			t.Errorf("retired %v moved to %d, pinned at %d", r.k, byte(r.k), r.b)
+		}
+		if _, err := Encode(&Message{Kind: r.k}); err == nil {
+			t.Errorf("retired %v encoded", r.k)
+		}
+		if _, err := Decode([]byte{r.b, Version, 0}); err == nil {
+			t.Errorf("a retired %v frame decoded", r.k)
+		}
 	}
-	if _, err := Encode(&Message{Kind: kindLockAck}); err == nil {
-		t.Error("the retired lock ack encoded")
+}
+
+// TestRetiredFieldBitsRefused pins the presence bits of the retired
+// sharding fields (heat samples, shard id, deadline budget, directory
+// corrections) at their old positions and checks the decoder refuses any
+// frame that sets one, so no surviving field's bit or encoding moved.
+func TestRetiredFieldBitsRefused(t *testing.T) {
+	for _, c := range []struct {
+		bit uint64
+		pos int
+	}{{fRetired5, 5}, {fRetired6, 6}, {fRetired9, 9}, {fRetired17, 17}} {
+		if c.bit != 1<<c.pos {
+			t.Errorf("retired bit %#x moved from position %d", c.bit, c.pos)
+		}
+		if fAll&c.bit != 0 {
+			t.Errorf("retired bit %d is still in fAll", c.pos)
+		}
+		frame := binary.AppendUvarint([]byte{byte(KindUnlockReq), Version}, fSeq|c.bit)
+		frame = append(frame, 1, 1)
+		if _, err := Decode(frame); err == nil || !strings.Contains(err.Error(), "unknown field bits") {
+			t.Errorf("frame setting retired bit %d: err %v, want unknown field bits", c.pos, err)
+		}
 	}
-	if _, err := Decode([]byte{byte(kindLockAck), Version, 0}); err == nil {
-		t.Error("a retired lock-ack frame decoded")
+	for bit, pos := range map[uint64]int{fTraceID: 7, fParentSpan: 8, fPlatform: 10, fState: 16, fRep: 18} {
+		if bit != 1<<pos {
+			t.Errorf("field bit %#x moved from position %d", bit, pos)
+		}
 	}
 }
 
@@ -263,15 +296,14 @@ func randomMessage(r *rand.Rand) *Message {
 		k = KindLockGrant
 	}
 	m := &Message{
-		Kind:       k,
-		Seq:        r.Uint64() >> r.Intn(64),
-		Rank:       int32(r.Intn(100)) - 1,
-		Mutex:      int32(r.Intn(100)),
-		Platform:   []string{"linux-x86", "solaris-sparc", ""}[r.Intn(3)],
-		Base:       r.Uint64(),
-		Epoch:      uint64(r.Intn(3)),
-		TraceID:    r.Uint64() >> r.Intn(64),
-		DeadlineMS: uint32(r.Intn(3)) * 250,
+		Kind:     k,
+		Seq:      r.Uint64() >> r.Intn(64),
+		Rank:     int32(r.Intn(100)) - 1,
+		Mutex:    int32(r.Intn(100)),
+		Platform: []string{"linux-x86", "solaris-sparc", ""}[r.Intn(3)],
+		Base:     r.Uint64(),
+		Epoch:    uint64(r.Intn(3)),
+		TraceID:  r.Uint64() >> r.Intn(64),
 	}
 	for i := 0; i < r.Intn(5); i++ {
 		n := r.Intn(64)
@@ -304,44 +336,7 @@ func randomMessage(r *rand.Rand) *Message {
 			m.State.Extra = extra
 		}
 	}
-	m.Shard = int32(r.Intn(8)) - 1
-	for i := 0; i < r.Intn(4); i++ {
-		m.Dir = append(m.Dir, DirEntry{
-			Object: int32(r.Intn(16)),
-			Lock:   r.Intn(2) == 0,
-			Shard:  int32(r.Intn(8)),
-			Ver:    r.Uint64(),
-		})
-	}
-	for i := 0; i < r.Intn(4); i++ {
-		m.Heat = append(m.Heat, HeatSample{Page: int32(r.Intn(64)), Faults: r.Uint32()})
-	}
 	return m
-}
-
-// Directory-forward frames round-trip their correction payload exactly.
-func TestEncodeDecodeDirForward(t *testing.T) {
-	m := &Message{
-		Kind:  KindDirForward,
-		Rank:  2,
-		Shard: 3,
-		Dir: []DirEntry{
-			{Object: 5, Shard: 1, Ver: 9},
-			{Object: 0, Lock: true, Shard: 2, Ver: 4},
-		},
-		Heat: []HeatSample{{Page: 7, Faults: 12}},
-	}
-	b, err := Encode(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Decode(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(m, got) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, m)
-	}
 }
 
 // Property: Decode(Encode(m)) == m for arbitrary valid messages.
@@ -444,9 +439,9 @@ func TestEncodeSizesFrameExactly(t *testing.T) {
 }
 
 // TestDecodeIntoReusesMessage: decoding frame after frame into one message
-// yields exactly what Decode yields, reusing the Updates and Heat arrays
-// and the tag strings it already holds, also across frames that carry no
-// updates or heat (a lock request between two releases).
+// yields exactly what Decode yields, reusing the Updates array and the tag
+// strings it already holds, also across frames that carry no updates (a
+// lock request between two releases).
 func TestDecodeIntoReusesMessage(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	var m Message
@@ -470,15 +465,11 @@ func TestDecodeIntoReusesMessage(t *testing.T) {
 		if len(got.Updates) == 0 && len(ref.Updates) == 0 {
 			got.Updates = ref.Updates
 		}
-		if len(got.Heat) == 0 && len(ref.Heat) == 0 {
-			got.Heat = ref.Heat
-		}
 		if !reflect.DeepEqual(&got, ref) {
 			t.Fatalf("frame %d: DecodeInto\n %+v\nDecode\n %+v", i, got, *ref)
 		}
 	}
 	release := sampleMessage()
-	release.Heat = []HeatSample{{Page: 3, Faults: 1}, {Page: 9, Faults: 2}}
 	b, _ := Encode(release)
 	lock, _ := Encode(&Message{Kind: KindLockReq, Rank: 2})
 	if err := DecodeInto(&m, b); err != nil {
