@@ -310,29 +310,6 @@ func runHome(listen, backupAddr, walDir string, plat *platform.Platform, gthv ta
 	home.Close()
 }
 
-// overloadDoc renders a home's deadline-plane health for /stats: per-peer
-// bounded-queue depth, the oldest unacked frame's age and shed counts, plus
-// the co-resident thread's expired attempts. Empty queues when the plane is
-// off.
-func overloadDoc(home *dsd.Home, th *dsd.Thread) map[string]any {
-	peers := []map[string]any{}
-	for _, q := range home.QueueStats() {
-		peers = append(peers, map[string]any{
-			"rank":              q.Rank,
-			"depth":             q.Depth,
-			"oldest_unacked_ms": q.OldestAge.Milliseconds(),
-			"enqueued":          q.Enqueued,
-			"sent":              q.Sent,
-			"shed":              q.Shed,
-		})
-	}
-	doc := map[string]any{"queues": peers}
-	if th != nil {
-		doc["thread0_deadline_exceeded"] = th.DeadlineExceeded()
-	}
-	return doc
-}
-
 // serveDiagnostics points the kit's HTTP endpoint at a home and an
 // optional co-resident thread. The stats document is live: every request
 // re-reads the breakdowns. The heat report is the thread's best-effort
@@ -342,12 +319,12 @@ func serveDiagnostics(kit *telemetry.Kit, home *dsd.Home, th *dsd.Thread, wlog *
 		doc := map[string]any{"home": home.Stats().Map()}
 		if th != nil {
 			doc["thread0"] = th.Stats().Map()
+			doc["thread0_deadline_exceeded"] = th.DeadlineExceeded()
 		}
 		doc["epoch"] = home.Epoch()
 		doc["fenced"] = home.Fenced()
 		applied, released := home.Watermarks()
 		doc["watermarks"] = map[string]any{"applied": applied, "released": released}
-		doc["overload"] = overloadDoc(home, th)
 		if wlog != nil {
 			doc["wal"] = wlog.Stats()
 		}

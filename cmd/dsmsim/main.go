@@ -35,7 +35,7 @@ import (
 func main() {
 	var (
 		seeds    = flag.Int("seeds", 8, "number of seeds to sweep (seed 0..N-1)")
-		profile  = flag.String("profile", "all", "fault profile (clean|flaky|partition|failover|handoff|lostack|homecrash-restart|stall|dribble|all)")
+		profile  = flag.String("profile", "all", "fault profile (clean|flaky|partition|failover|handoff|lostack|homecrash-restart|stall|dribble|wedge|all)")
 		mix      = flag.String("mix", "all", "platform mix (e.g. LL, SL, Lsl) or all")
 		grammar  = flag.String("grammar", "classic", "workload grammar (classic|nested|pointer|producer|hotcold|chaos|all) or a weighted spec like cs:3,nested:2")
 		locks    = flag.Int("locks", 0, "lock count for grammar workloads (0 = mix default)")
@@ -115,7 +115,7 @@ func pickProfiles(name string, negative bool) ([]sim.Profile, error) {
 	}
 	p := sim.Profile(name)
 	if !sim.ValidProfile(p) {
-		return nil, fmt.Errorf("dsmsim: unknown profile %q (want clean|flaky|partition|failover|handoff|lostack|homecrash-restart|stall|dribble|all)", name)
+		return nil, fmt.Errorf("dsmsim: unknown profile %q (want clean|flaky|partition|failover|handoff|lostack|homecrash-restart|stall|dribble|wedge|all)", name)
 	}
 	return []sim.Profile{p}, nil
 }

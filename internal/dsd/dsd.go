@@ -83,10 +83,11 @@ type Options struct {
 	// OpTimeout bounds each attempt of a synchronization operation (lock,
 	// unlock, barrier, flush, join, fetch): sends and receives carry real
 	// socket deadlines, and an expired attempt severs the connection and
-	// retries idempotently through the HA redial path. The budget is the
-	// client's alone; no frame carries it. The home bounds each peer's
-	// outbound queue instead, shedding grants to slow consumers rather than
-	// wedging the stub.
+	// retries idempotently through the HA redial path; the redial's backoff
+	// and dials stay inside the attempt's budget. The budget is the
+	// client's alone: no frame carries it and the home never reads it. A
+	// home stub blocked on a wedged conn is freed when the client severs
+	// the conn.
 	// Zero (the default) disables the deadline plane entirely: operations
 	// block indefinitely, exactly the pre-deadline behavior.
 	OpTimeout time.Duration

@@ -1,10 +1,8 @@
 package dsd
 
 import (
-	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -93,16 +91,7 @@ type Home struct {
 	lmu       sync.Mutex
 	listeners []transport.Listener
 	conns     map[transport.Conn]bool
-	// queues tracks the bounded per-peer outbound queues (OpTimeout > 0
-	// only) by rank, for /stats and the dsm_transport_queue_depth gauge.
-	queues map[int32]*transport.SendQueue
 }
-
-// homeQueueCap bounds each peer's outbound queue when the deadline plane
-// is on. Grants and acks are small and the consumer acks promptly in
-// steady state, so a backlog this deep already means the peer is stalled;
-// overflow sheds (the peer's replay re-materializes the grant).
-const homeQueueCap = 64
 
 // Replicator mirrors home-state mutations to a hot standby. Record is
 // called with the home mutex held, so it must only enqueue; Flush blocks
@@ -218,20 +207,6 @@ func NewHome(gthv tag.Struct, p *platform.Platform, nthreads int, opts Options) 
 		carried:       make(map[int32]bool),
 		redirectReady: make(chan struct{}),
 		conns:         make(map[transport.Conn]bool),
-		queues:        make(map[int32]*transport.SendQueue),
-	}
-	if opts.OpTimeout > 0 {
-		opts.Metrics.GaugeFunc("dsm_transport_queue_depth",
-			"frames parked in per-peer bounded outbound queues at the home",
-			func() float64 {
-				var total int
-				h.lmu.Lock()
-				for _, q := range h.queues {
-					total += q.Depth()
-				}
-				h.lmu.Unlock()
-				return float64(total)
-			})
 	}
 	return h, nil
 }
@@ -372,16 +347,6 @@ func (h *Home) Serve(l transport.Listener) {
 // mode instead: every KindPing is answered with a KindPong, so failure
 // detectors probe the same serving path DSD traffic uses.
 func (h *Home) ServeConn(c transport.Conn) {
-	var q *transport.SendQueue
-	if h.opts.OpTimeout > 0 {
-		// Deadline plane on: decouple this stub from a slow consumer. A
-		// peer that stops draining wedges the queue's writer, not the stub;
-		// overflow sheds the frame and the stub treats the conn as broken,
-		// exactly as if the send had failed — the peer's deadline-expired
-		// replay re-materializes whatever was dropped.
-		q = transport.NewSendQueue(c, homeQueueCap, transport.OverflowShed)
-		c = q
-	}
 	h.lmu.Lock()
 	if h.conns == nil {
 		// Killed: a conn accepted just before Kill closed the listener must
@@ -423,18 +388,6 @@ func (h *Home) ServeConn(c transport.Conn) {
 	// platform; its pending queue is discarded (the new replica is blank
 	// and will be seeded with the full state).
 	defer h.removePeer(p)
-	if q != nil {
-		h.lmu.Lock()
-		h.queues[p.rank] = q
-		h.lmu.Unlock()
-		defer func() {
-			h.lmu.Lock()
-			if h.queues[p.rank] == q {
-				delete(h.queues, p.rank)
-			}
-			h.lmu.Unlock()
-		}()
-	}
 	for {
 		msg, err := h.recv(c, &in)
 		if err != nil {
@@ -1251,41 +1204,7 @@ func (h *Home) send(c transport.Conn, m *wire.Message) error {
 	}
 	h.bd.Add(stats.Pack, time.Since(start))
 	h.hm.frameSent.Observe(float64(len(frame)))
-	if err := c.SendFrame(frame); err != nil {
-		if errors.Is(err, transport.ErrQueueFull) {
-			h.hm.shed.Inc()
-		}
-		return err
-	}
-	return nil
-}
-
-// QueueStat is one peer's bounded-outbound-queue snapshot for /stats.
-type QueueStat struct {
-	Rank      int32
-	Depth     int
-	OldestAge time.Duration
-	Enqueued  uint64
-	Sent      uint64
-	Shed      uint64
-}
-
-// QueueStats snapshots every connected peer's outbound queue, rank order.
-// Empty when the deadline plane is off (no queues exist).
-func (h *Home) QueueStats() []QueueStat {
-	now := time.Now()
-	h.lmu.Lock()
-	out := make([]QueueStat, 0, len(h.queues))
-	for rank, q := range h.queues {
-		enq, sent := q.Progress()
-		out = append(out, QueueStat{
-			Rank: rank, Depth: q.Depth(), OldestAge: q.OldestAge(now),
-			Enqueued: enq, Sent: sent, Shed: q.Shed(),
-		})
-	}
-	h.lmu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Rank < out[j].Rank })
-	return out
+	return c.SendFrame(frame)
 }
 
 // recv receives and decodes (t_unpack) a message into m, the caller's

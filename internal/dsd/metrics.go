@@ -50,7 +50,6 @@ type homeMetrics struct {
 	frameSent   *telemetry.Histogram
 	frameRecv   *telemetry.Histogram
 	applies     *telemetry.Counter
-	shed        *telemetry.Counter
 }
 
 func newHomeMetrics(r *telemetry.Registry) homeMetrics {
@@ -62,7 +61,6 @@ func newHomeMetrics(r *telemetry.Registry) homeMetrics {
 		frameSent:   r.Histogram("dsm_home_frame_sent_bytes", "encoded frame sizes transmitted by the home"),
 		frameRecv:   r.Histogram("dsm_home_frame_recv_bytes", "encoded frame sizes received by the home"),
 		applies:     r.Counter("dsm_home_applies_total", "update batches applied to the master copy"),
-		shed:        r.Counter("dsm_home_frames_shed_total", "outbound frames shed by full per-peer queues (peer retries idempotently)"),
 	}
 }
 

@@ -1,6 +1,7 @@
 package dsd
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
@@ -249,5 +250,79 @@ func TestStalledRankDeadlocksWithoutDeadlinePlane(t *testing.T) {
 	}
 	if got := c.ths[1].DeadlineExceeded(); got != 0 {
 		t.Errorf("deadline plane disabled but %d expiries counted", got)
+	}
+}
+
+// TestArmedStallPlanEndsPromptly: a deadline as short as the stall plan's
+// pauses must end every operation inside a bounded number of attempts.
+// Two HA ranks run lock/unlock cycles over a network that adds up to
+// 200 µs per frame and a 2 ms stall every 31 frames, with OpTimeout at
+// 2 ms. Each operation either succeeds or fails with an error wrapping
+// ErrDeadline (a rank stops at its first failure), and the whole run ends
+// in seconds. A redial whose backoff sleeps past the attempt's deadline
+// dooms every dial and hello of its cycle instead, and the run hangs. (A
+// rank that fails holding the sticky mutex leaves the other rank's stub
+// parked in acquire, which Kill does not wake, so this test takes no
+// goroutine census.)
+func TestArmedStallPlanEndsPromptly(t *testing.T) {
+	opts := DefaultOptions()
+	opts.StickyLocks = true
+	opts.OpTimeout = 2 * time.Millisecond
+	nw := transport.NewFaults(transport.NewInproc(), transport.FaultPlan{
+		Seed: 1, Latency: 200 * time.Microsecond, StallEvery: 31, StallFor: 2 * time.Millisecond,
+	})
+	h, err := NewHome(testGThV(), platform.LinuxX86, 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := nw.Listen("home")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go h.Serve(l)
+	defer h.Kill()
+
+	var ths [2]*Thread
+	for rank := range ths {
+		ths[rank], err = DialHA(nw, []string{"home"}, platform.LinuxX86, int32(rank), testGThV(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ths[rank].Close()
+	}
+	done := make(chan error, len(ths))
+	for rank, th := range ths {
+		go func() {
+			sum := th.Globals().MustVar("sum")
+			for i := 0; i < 8; i++ {
+				if err := th.Lock(0); err != nil {
+					done <- fmt.Errorf("rank %d lock: %w", rank, err)
+					return
+				}
+				if err := sum.SetInt(0, int64(i)); err != nil {
+					done <- err
+					return
+				}
+				if err := th.Unlock(0); err != nil {
+					done <- fmt.Errorf("rank %d unlock: %w", rank, err)
+					return
+				}
+			}
+			done <- nil
+		}()
+	}
+	watchdog := time.After(5 * time.Second)
+	for range ths {
+		select {
+		case err := <-done:
+			if err != nil && !errors.Is(err, transport.ErrDeadline) {
+				t.Errorf("operation failed without a deadline: %v", err)
+			}
+		case <-watchdog:
+			t.Fatal("armed stall run still going after 5s")
+		}
+	}
+	if ths[0].DeadlineExceeded()+ths[1].DeadlineExceeded() == 0 {
+		t.Error("no attempt hit its deadline: the stall plan never exercised the plane")
 	}
 }

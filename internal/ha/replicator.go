@@ -95,13 +95,6 @@ func (r *Replicator) Err() error {
 	return r.failed
 }
 
-// Acked returns the standby's cumulative acknowledgement.
-func (r *Replicator) Acked() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.acked
-}
-
 // Progress returns the replication watermarks — records enqueued and
 // records acknowledged by the standby — implementing the stall detector's
 // SendProgress: an enqueued count advancing ahead of a frozen ack count is

@@ -11,8 +11,7 @@ import (
 
 // SendProgress exposes send-side watermarks: how much has been handed to a
 // peer's connection and how much the peer has demonstrably consumed.
-// transport.SendQueue (frames enqueued / frames written) and ha.Replicator
-// (records enqueued / records acked) both implement it.
+// ha.Replicator (records enqueued / records acked) implements it.
 type SendProgress interface {
 	Progress() (enqueued, consumed uint64)
 }

@@ -1,7 +1,7 @@
 // Package leakcheck verifies that a test tears its goroutines down. The
-// deadline plane multiplies background goroutines — queue writers, stall
-// detectors, stub goroutines parked on severed conns — and a leaked one is
-// a wedged teardown path the tests would otherwise never notice.
+// deadline plane multiplies background goroutines — stall detectors, stub
+// goroutines parked on severed conns — and a leaked one is a wedged
+// teardown path the tests would otherwise never notice.
 package leakcheck
 
 import (

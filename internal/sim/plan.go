@@ -59,13 +59,19 @@ const (
 	// ProfileDribble delivers every frame in dribbled chunks with per-frame
 	// latency — the slow-NIC/short-write shape of the stall family.
 	ProfileDribble Profile = "dribble"
+	// ProfileWedge freezes every rank's established connection mid-run
+	// while fresh dials pass (a wedged socket, not a dead host), with the
+	// deadline plane armed: each rank's next attempt expires, severs its
+	// frozen conn, redials and replays. Like the stall family it moves
+	// only timing, never values.
+	ProfileWedge Profile = "wedge"
 )
 
 // Profiles returns every fault profile, in sweep order.
 func Profiles() []Profile {
 	return []Profile{ProfileClean, ProfileFlaky, ProfilePartition, ProfileFailover,
 		ProfileHandoff, ProfileLostAck, ProfileHomeCrashRestart,
-		ProfileStall, ProfileDribble}
+		ProfileStall, ProfileDribble, ProfileWedge}
 }
 
 // ValidProfile reports whether p names a known profile.

@@ -183,6 +183,16 @@ func run(plan Plan) Result {
 
 	fplan, faultName := faultsFor(plan, lay)
 	nw := transport.NewFaults(transport.NewInproc(), fplan)
+	// Ranks dial through ranksNw. Under wedge it is a layer of its own, so
+	// the freeze reaches only the ranks' ends: a home stub parked on a
+	// frozen end would keep its rank registered, and the home refuses the
+	// rank's redial until that stub exits. Wedge arms the deadline plane:
+	// an attempt on a frozen conn gives up after 20 ms.
+	ranksNw := nw
+	if plan.Profile == ProfileWedge {
+		ranksNw = transport.NewFaults(nw, transport.FaultPlan{})
+		opts.OpTimeout = 20 * time.Millisecond
+	}
 
 	// Home-side deployment.
 	addrs := []string{"home"}
@@ -319,7 +329,7 @@ func run(plan Plan) Result {
 	for rank := 0; rank < plan.Threads; rank++ {
 		topts := opts
 		topts.Recorder = hist
-		th, err := dsd.DialHABackoff(nw, addrs, threadPlats[rank], int32(rank), gthv, topts, simBackoff(plan.Seed, int32(rank)))
+		th, err := dsd.DialHABackoff(ranksNw, addrs, threadPlats[rank], int32(rank), gthv, topts, simBackoff(plan.Seed, int32(rank)))
 		if err != nil {
 			res.Err = fmt.Errorf("sim: rank %d dial: %w", rank, err)
 			return res
@@ -340,6 +350,12 @@ func run(plan Plan) Result {
 				nw.Cut("home", heal)
 				res.FaultLog = append(res.FaultLog,
 					fmt.Sprintf("step %d t=%s: partition home for %s", step, logicalNow(), heal))
+			}
+		case ProfileWedge:
+			if step == plan.Steps/2 {
+				ranksNw.Freeze()
+				res.FaultLog = append(res.FaultLog,
+					fmt.Sprintf("step %d t=%s: freeze every rank's established conn", step, logicalNow()))
 			}
 		case ProfileFailover:
 			if step == plan.Steps/2 {

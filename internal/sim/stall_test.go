@@ -58,3 +58,28 @@ func TestStallGrammarCanonicalMatchesClean(t *testing.T) {
 		}
 	}
 }
+
+// The wedge profile freezes every rank's established conn mid-run under the
+// armed deadline plane. Each rank must ride it out by severing and
+// redialing, and since replays are deduplicated, the canonical trace must
+// still match the clean run's.
+func TestWedgeCanonicalMatchesClean(t *testing.T) {
+	for _, seed := range []int64{1, 11, 42} {
+		clean := Run(NewPlan(seed, ProfileClean, "SL"))
+		if !clean.OK() {
+			t.Fatalf("seed %d clean:\n%s", seed, clean.Report())
+		}
+		res := Run(NewPlan(seed, ProfileWedge, "SL"))
+		if !res.OK() {
+			t.Fatalf("seed %d wedge:\n%s", seed, res.Report())
+		}
+		if !bytes.Equal(res.Canonical, clean.Canonical) {
+			t.Fatalf("seed %d: wedge trace diverged from clean:\n--- clean ---\n%s\n--- wedge ---\n%s",
+				seed, clean.Canonical, res.Canonical)
+		}
+		if res.Reconnects < uint64(res.Plan.Threads) {
+			t.Fatalf("seed %d: %d reconnects, want every one of %d ranks off its frozen conn:\n%s",
+				seed, res.Reconnects, res.Plan.Threads, res.Report())
+		}
+	}
+}

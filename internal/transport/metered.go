@@ -40,28 +40,3 @@ func (m *meteredConn) RecvFrame() ([]byte, error) {
 	}
 	return frame, err
 }
-
-// meteredListener wraps every accepted conn with Meter.
-type meteredListener struct {
-	Listener
-	sent FrameObserver
-	recv FrameObserver
-}
-
-// MeterListener returns a Listener whose accepted connections are
-// wrapped with Meter(c, sent, recv) — the one-line way to meter every
-// frame a serving node exchanges.
-func MeterListener(l Listener, sent, recv FrameObserver) Listener {
-	if sent == nil && recv == nil {
-		return l
-	}
-	return &meteredListener{Listener: l, sent: sent, recv: recv}
-}
-
-func (m *meteredListener) Accept() (Conn, error) {
-	c, err := m.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return Meter(c, m.sent, m.recv), nil
-}

@@ -156,8 +156,11 @@ func (r *Reconn) Addr() string {
 }
 
 // ensure returns a live Conn, redialing with backoff if the previous one
-// broke. Callers must not hold r.mu.
-func (r *Reconn) ensure() (Conn, error) {
+// broke. A nonzero deadline is the caller's attempt budget: no backoff
+// sleep runs past it and no dial starts after it, and a redial it cuts
+// short fails with an error wrapping ErrDeadline. Callers must not hold
+// r.mu.
+func (r *Reconn) ensure(deadline time.Time) (Conn, error) {
 	r.mu.Lock()
 	if r.closed {
 		r.mu.Unlock()
@@ -194,8 +197,14 @@ func (r *Reconn) ensure() (Conn, error) {
 		if closed {
 			return nil, ErrClosed
 		}
+		if !deadline.IsZero() {
+			d = min(d, time.Until(deadline))
+		}
 		if d > 0 {
 			time.Sleep(d)
+		}
+		if !deadline.IsZero() && !time.Now().Before(deadline) {
+			return nil, fmt.Errorf("transport: redial stopped at its deadline after %d dials (last: %v): %w", attempt, lastErr, ErrDeadline)
 		}
 		if len(addrs) == 0 {
 			lastErr = fmt.Errorf("transport: reconn has no addresses")
@@ -253,13 +262,13 @@ func (r *Reconn) ensure() (Conn, error) {
 // Connect forces the first dial (and the OnConnect hook) to happen now
 // rather than lazily on the first SendFrame, so constructors can fail fast.
 func (r *Reconn) Connect() error {
-	_, err := r.ensure()
+	_, err := r.ensure(time.Time{})
 	return err
 }
 
 // SendFrame implements Conn, transparently healing a broken connection.
 func (r *Reconn) SendFrame(frame []byte) error {
-	c, err := r.ensure()
+	c, err := r.ensure(time.Time{})
 	if err != nil {
 		return err
 	}
@@ -291,12 +300,13 @@ func (r *Reconn) RecvFrame() ([]byte, error) {
 	return f, nil
 }
 
-// SendFrameDeadline implements DeadlineConn: the deadline bounds this
-// attempt's transmission on the live conn (falling back to an unbounded
-// send when the underlying transport has no deadline support). A missed
-// deadline marks the conn broken so the caller's retry redials.
+// SendFrameDeadline implements DeadlineConn: the deadline bounds the whole
+// attempt, first the redial of a broken conn (no backoff sleep past it, no
+// dial after it) and then the transmission on the live conn (unbounded when
+// the underlying transport has no deadline support). A missed deadline
+// marks the conn broken so the caller's retry redials.
 func (r *Reconn) SendFrameDeadline(frame []byte, deadline time.Time) error {
-	c, err := r.ensure()
+	c, err := r.ensure(deadline)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"errors"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -250,5 +251,43 @@ func TestReconnClosedIsTerminal(t *testing.T) {
 	}
 	if _, err := r.RecvFrame(); err == nil {
 		t.Error("recv after Close succeeded")
+	}
+}
+
+// TestReconnRedialStopsAtDeadline: a deadline-bounded send over a conn that
+// must redial spends no more than its budget. With every dial failing, the
+// default policy's 40-dial backoff cycle takes seconds; the send must give
+// up at its 5 ms deadline with an error wrapping ErrDeadline, while an
+// unbounded send still runs the policy's whole cycle.
+func TestReconnRedialStopsAtDeadline(t *testing.T) {
+	r := NewReconn(NewInproc(), []string{"nowhere"}, DefaultBackoff())
+	defer r.Close()
+	deadline := time.Now().Add(5 * time.Millisecond)
+	errc := make(chan error, 1)
+	go func() { errc <- r.SendFrameDeadline([]byte("x"), deadline) }()
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrDeadline) {
+			t.Fatalf("redial past its budget returned %v, want ErrDeadline", err)
+		}
+		if late := time.Since(deadline); late > 20*time.Millisecond {
+			t.Errorf("send returned %v after its deadline", late)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("send slept through the redial cycle past its deadline")
+	}
+	if r.Attempts() == 0 {
+		t.Error("no dial ran inside the budget")
+	}
+
+	policy := fastPolicy()
+	policy.Attempts = 5
+	u := NewReconn(NewInproc(), []string{"nowhere"}, policy)
+	defer u.Close()
+	if err := u.SendFrameDeadline([]byte("x"), time.Time{}); err == nil || errors.Is(err, ErrDeadline) {
+		t.Fatalf("unbounded send returned %v, want the exhausted-cycle error", err)
+	}
+	if got := u.Attempts(); got != 5 {
+		t.Errorf("unbounded send dialed %d times, want the policy's 5", got)
 	}
 }
