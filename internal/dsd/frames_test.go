@@ -193,17 +193,19 @@ func (p rawPeer) call(m *wire.Message) *wire.Message {
 	return reply
 }
 
-// pendingOf copies rank's raw pending queue.
+// pendingOf returns what rank is owed now: the spans of the runs its next
+// grant would ship, merged.
 func pendingOf(h *Home, rank int32) []indextable.Span {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return slices.Clone(h.pending[rank])
+	p := h.peers[rank]
+	return indextable.MergeInPlace(h.owedLocked(nil, rank, p != nil && p.seed))
 }
 
-// TestLazyGrantCommit drives a home with raw frames: a grant drains
+// TestLazyGrantCommit drives a home with raw frames: a grant commits
 // nothing, so a replayed lock request (same Seq) is granted the same spans
-// again, and the holder's next request drains exactly the granted prefix
-// while spans queued in between survive for the next grant.
+// again, and after the holder's next request what remains owed is exactly
+// what was written after the grant.
 func TestLazyGrantCommit(t *testing.T) {
 	h, err := NewHome(testGThV(), platform.LinuxX86, 2, DefaultOptions())
 	if err != nil {
@@ -245,31 +247,30 @@ func TestLazyGrantCommit(t *testing.T) {
 		t.Fatalf("lock request answered with %v carrying %d updates", grant.Kind, len(grant.Updates))
 	}
 	if got := pendingOf(h, 0); !reflect.DeepEqual(got, granted) {
-		t.Fatalf("the grant drained the queue: %v left of %v", got, granted)
+		t.Fatalf("the grant committed: %v owed of %v", got, granted)
 	}
 	replay := raw.call(&wire.Message{Kind: wire.KindLockReq, Seq: 5, Mutex: 0})
 	if replay.Kind != wire.KindLockGrant || !reflect.DeepEqual(replay.Updates, grant.Updates) {
 		t.Fatalf("replayed request granted %+v, the first grant carried %+v", replay.Updates, grant.Updates)
 	}
 
-	write("B", 5, 9) // queued behind the granted prefix
-	queued := pendingOf(h, 0)
+	write("B", 5, 9) // written after the grant
 	if ack := raw.call(&wire.Message{Kind: wire.KindUnlockReq, Seq: 6, Mutex: 0}); ack.Kind != wire.KindUnlockAck {
 		t.Fatalf("unlock answered with %v", ack.Kind)
 	}
+	b, _ := h.table.EntryByName("B")
 	left := pendingOf(h, 0)
-	if want := queued[len(granted):]; len(want) == 0 || !reflect.DeepEqual(left, want) {
-		t.Fatalf("after the holder's next request the queue is %v, want the spans queued after the grant %v", left, want)
+	if want := []indextable.Span{{Entry: b.Index, First: 5, Count: 1}}; !reflect.DeepEqual(left, want) {
+		t.Fatalf("after the holder's next request %v is owed, want what was written after the grant %v", left, want)
 	}
 	next := raw.call(&wire.Message{Kind: wire.KindLockReq, Seq: 7, Mutex: 0})
-	b, _ := h.table.EntryByName("B")
 	for _, u := range next.Updates {
 		if int(u.Entry) != b.Index {
-			t.Errorf("next grant re-ships entry %d, already drained", u.Entry)
+			t.Errorf("next grant re-ships entry %d, already committed", u.Entry)
 		}
 	}
 	if len(next.Updates) == 0 {
-		t.Error("next grant lost the spans queued after the first")
+		t.Error("next grant lost the spans written after the first")
 	}
 }
 

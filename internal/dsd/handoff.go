@@ -25,9 +25,9 @@ import (
 //     known — waits until no lock is held and no barrier generation is in
 //     flight (a release-consistent quiescent cut), and captures its state.
 //  2. NewHomeFromImage builds the successor anywhere, on any platform:
-//     the master image converts receiver-makes-right; pending-update
-//     queues and the joined set carry over unchanged because spans and
-//     ranks are architecture independent.
+//     the master image converts receiver-makes-right; each rank's owed
+//     spans and the joined set carry over because spans and ranks are
+//     architecture independent.
 //  3. RedirectTo publishes the successor's address; every thread's next
 //     request bounces with KindRedirect and the thread re-registers with
 //     the new home transparently (see Thread.call).
@@ -89,7 +89,7 @@ func (h *Home) imageLocked() (*wire.HomeImage, error) {
 		Base:     h.table.Base(),
 		Image:    buf,
 		Tag:      tag.FromLayout(h.layout).String(),
-		Dirty:    h.dirty,
+		Dirty:    h.stamp > 0,
 		Proto:    uint8(h.opts.Protocol),
 		Nthreads: int32(h.nthreads),
 		Epoch:    h.epoch,
@@ -97,25 +97,21 @@ func (h *Home) imageLocked() (*wire.HomeImage, error) {
 		Joined:   maps.Clone(h.joined),
 		Applied:  maps.Clone(h.applied),
 		Released: maps.Clone(h.released),
-		Pending:  make(map[int32][]indextable.Span, len(h.pending)),
-		Known:    make(map[int32]bool, len(h.peers)),
+		Pending:  make(map[int32][]indextable.Span),
+		Known:    make(map[int32]bool, len(h.seen)),
 	}
 	for idx, ls := range h.locks {
 		if ls.held {
 			img.Held[idx] = ls.holder
 		}
 	}
-	for rank, spans := range h.pending {
-		if merged := indextable.MergeSpans(spans); len(merged) > 0 {
-			img.Pending[rank] = merged
-		}
-	}
-	// Known is every rank whose replica Pending exactly catches up: the
-	// registered ones, and those carried in from a previous image that have
-	// not re-registered yet.
-	maps.Copy(img.Known, h.carried)
-	for rank := range h.peers {
+	// Known is every tracked rank, and Pending what a grant would ship it.
+	for rank := range h.seen {
 		img.Known[rank] = true
+		p := h.peers[rank]
+		if owed := indextable.MergeInPlace(h.owedLocked(nil, rank, p != nil && p.seed)); len(owed) > 0 {
+			img.Pending[rank] = owed
+		}
 	}
 	return img, nil
 }
@@ -158,7 +154,11 @@ func (h *Home) RedirectTo(addr string) {
 // redirect answers one request with the successor's address, blocking
 // until RedirectTo has been called.
 func (h *Home) redirect(c transport.Conn, rank int32) error {
-	<-h.redirectReady
+	select {
+	case <-h.redirectReady:
+	case <-h.killed:
+		return errKilled
+	}
 	h.mu.Lock()
 	addr := h.redirectAddr
 	h.mu.Unlock()
@@ -171,7 +171,7 @@ func (h *Home) redirect(c transport.Conn, rank int32) error {
 // receiver-makes-right — serving the image's thread count under the image's
 // protocol. Handoff, standby promotion and WAL recovery all end here. An
 // image without Pending and Known (every crash cut) makes each rank's first
-// handshake reseed its replica in full.
+// reply reseed its replica in full.
 func NewHomeFromImage(gthv tag.Struct, p *platform.Platform, opts Options, img *wire.HomeImage) (*Home, error) {
 	srcTable, err := img.Validate(gthv)
 	if err != nil {
@@ -187,13 +187,9 @@ func NewHomeFromImage(gthv tag.Struct, p *platform.Platform, opts Options, img *
 	if err := h.importLocked(srcTable, img.Image); err != nil {
 		return nil, err
 	}
-	// Each known rank's replica is exactly as stale as its carried queue
-	// says; everyone else is seeded at handshake (the import left the home
-	// dirty, and queued nothing: no rank is registered or carried yet).
-	for rank, spans := range img.Pending {
-		h.pending[rank] = append([]indextable.Span(nil), spans...)
-	}
-	maps.Copy(h.carried, img.Known)
+	// The import recorded nothing, as no rank is tracked yet: a Known rank
+	// is owed its Pending spans, and any other is seeded in full.
+	h.adoptLocked(img.Known, img.Pending)
 	maps.Copy(h.joined, img.Joined)
 	for idx, rank := range img.Held {
 		// A crash cut that dropped held locks would let a second thread

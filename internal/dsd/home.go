@@ -2,6 +2,7 @@ package dsd
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 	"time"
@@ -18,10 +19,11 @@ import (
 	"hetdsm/internal/wire"
 )
 
-// Home is the base node of the DSD: it owns the master GThV copy, the
-// distributed mutexes, the barriers, and the per-thread pending-update
-// queues. One goroutine per connected thread acts as that thread's stub
-// (paper Figure 5), so Home methods are internally synchronized.
+// Home is the base node of the DSD: it owns the master GThV copy, stamped
+// so that each thread is shipped what changed since it last synced
+// (catchup.go), the distributed mutexes and the barriers. One goroutine per
+// connected thread acts as that thread's stub (paper Figure 5), so Home
+// methods are internally synchronized.
 type Home struct {
 	opts     Options
 	gthv     tag.Struct
@@ -34,10 +36,20 @@ type Home struct {
 	master   *vmem.Segment
 	locks    map[int32]*lockState
 	barriers map[int32]*barrierState
-	pending  map[int32][]indextable.Span
 	peers    map[int32]*peer
 	joined   map[int32]bool
 	done     chan struct{}
+	// killed is closed by Kill: every stub parked on a mutex, a barrier or
+	// a detach wakes and exits.
+	killed chan struct{}
+	// stamp numbers the applied update-bearing requests and imports; runs
+	// holds each entry's stamped runs (spare the buffer recordLocked builds
+	// its next runs in) and seen each tracked rank's seen stamp. A rank is
+	// tracked from its hello, or from a handoff image that knew it.
+	stamp uint64
+	runs  [][]run
+	spare [][]run
+	seen  map[int32]uint64
 	// applied holds per-rank idempotency watermarks: the highest request
 	// id whose updates were applied. A reconnecting thread re-sends its
 	// in-flight request; the watermark keeps the replay from applying the
@@ -62,10 +74,6 @@ type Home struct {
 	// gens counts opened barrier generations across all barrier indices;
 	// every Options.CheckpointEvery-th generation triggers CheckpointSink.
 	gens uint64
-	// dirty records that updates have ever been applied; a thread that
-	// registers after that point is queued the full GThV so its first
-	// acquire brings it up to date (late joiners, migration targets).
-	dirty bool
 	// frozen marks a home detached for handoff: new acquisitions bounce
 	// with redirects once redirectAddr is published. thawed is closed if
 	// that freeze is abandoned (Detach timed out), sending the requesters
@@ -77,9 +85,6 @@ type Home struct {
 	snapshotted   bool
 	redirectAddr  string
 	redirectReady chan struct{}
-	// carried marks ranks whose pending queues came from a handoff; they
-	// re-register without the late-joiner full-state seed.
-	carried map[int32]bool
 
 	bd stats.Breakdown
 	hm homeMetrics
@@ -106,24 +111,25 @@ type Replicator interface {
 type peer struct {
 	rank int32
 	plat *platform.Platform
-	// pendOpen/pendMark/pendSeq track a grant or barrier release in
-	// flight: the drain of the pending queue (first pendMark raw spans)
-	// commits only once a later request (Seq > pendSeq) proves the reply
-	// arrived. Neither reply has an ack, so this is its delivery receipt.
-	pendOpen bool
-	pendMark int
-	pendSeq  uint64
+	// seed marks a replica registered blank after updates were applied:
+	// its next reply ships every entry whole. Guarded by h.mu.
+	seed bool
+	// replied, covered and replySeq track the last grant or barrier
+	// release: the stamp it covered and the request it answered. Neither
+	// reply has an ack, so the rank's next request with a higher Seq is its
+	// delivery receipt, and sets the rank's seen stamp to covered.
+	replied  bool
+	covered  uint64
+	replySeq uint64
 
 	// Scratch the peer's stub goroutine owns and reuses, so a steady-state
 	// release or grant allocates only its encoded frame: convs and conv hold
-	// a release's converted updates, others the ranks its spans are queued
-	// for, and grant, grantUps and grantData a materialized grant. plans
-	// convert each entry from the peer's representation to ours, pointers
-	// translated.
+	// a release's converted updates, spans the runs it records or a grant's
+	// spans, and grantUps and grantData a materialized grant. plans convert
+	// each entry from the peer's representation to ours, pointers translated.
 	convs     []converted
 	conv      []byte
-	others    []int32
-	grant     []indextable.Span
+	spans     []indextable.Span
 	grantUps  []wire.Update
 	grantData []byte
 	plans     []convert.Plan
@@ -198,13 +204,15 @@ func NewHome(gthv tag.Struct, p *platform.Platform, nthreads int, opts Options) 
 		node:          "home@" + p.Name,
 		locks:         make(map[int32]*lockState),
 		barriers:      make(map[int32]*barrierState),
-		pending:       make(map[int32][]indextable.Span),
 		peers:         make(map[int32]*peer),
 		joined:        make(map[int32]bool),
 		done:          make(chan struct{}),
+		killed:        make(chan struct{}),
+		runs:          make([][]run, table.Len()),
+		spare:         make([][]run, table.Len()),
+		seen:          make(map[int32]uint64),
 		applied:       make(map[int32]uint64),
 		released:      make(map[int32]uint64),
-		carried:       make(map[int32]bool),
 		redirectReady: make(chan struct{}),
 		conns:         make(map[transport.Conn]bool),
 	}
@@ -232,28 +240,11 @@ func (h *Home) Fenced() bool {
 func (h *Home) Watermarks() (applied, released map[int32]uint64) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	applied = make(map[int32]uint64, len(h.applied))
-	for r, s := range h.applied {
-		applied[r] = s
-	}
-	released = make(map[int32]uint64, len(h.released))
-	for r, s := range h.released {
-		released[r] = s
-	}
-	return applied, released
+	return maps.Clone(h.applied), maps.Clone(h.released)
 }
 
 // Table returns the home's index table.
 func (h *Home) Table() *indextable.Table { return h.table }
-
-// seedFullLocked queues a full-state catch-up for a rank: every entry, as
-// whole-entry spans. Caller holds h.mu.
-func (h *Home) seedFullLocked(rank int32) {
-	for i := 0; i < h.table.Len(); i++ {
-		h.pending[rank] = append(h.pending[rank],
-			indextable.Span{Entry: i, First: 0, Count: h.table.Entry(i).Count})
-	}
-}
 
 // Stats returns the home-side Cshare breakdown (stub-thread work: tag and
 // pack on grants, unpack and conversion on releases).
@@ -286,11 +277,9 @@ func (h *Home) Restore(img *wire.HomeImage) error {
 // Restore and NewHomeFromImage. src is a whole master image in srcTable's
 // layout. Every entry is converted to this home's representation with
 // pointer members translated into its address space, written to the
-// master, queued as a whole-entry catch-up span for every rank whose
-// replica the home tracks (the fan-out applyUpdates uses: registered
-// peers, and carried ranks yet to re-register) and mirrored to the
-// replicators. The home is dirty afterwards, so any other rank is seeded
-// in full when it registers. Caller holds h.mu.
+// master under a new stamp as whole-entry runs every tracked rank is owed,
+// and mirrored to the replicators. A rank that registers later is seeded in
+// full, as after any apply. Caller holds h.mu.
 func (h *Home) importLocked(srcTable *indextable.Table, src []byte) error {
 	plans, err := entryPlans(h.table, srcTable.Platform(), h.table.Translator(srcTable))
 	if err != nil {
@@ -305,21 +294,15 @@ func (h *Home) importLocked(srcTable *indextable.Table, src []byte) error {
 		}
 		ups = append(ups, wire.Update{Entry: int32(i), First: 0, Count: int32(se.Count), Data: data})
 	}
+	spans := make([]indextable.Span, len(ups))
 	for i := range ups {
 		if err := h.master.RawWrite(h.table.Entry(i).Offset, ups[i].Data); err != nil {
 			return err
 		}
-		span := indextable.Span{Entry: i, First: 0, Count: int(ups[i].Count)}
-		for rank := range h.peers {
-			h.pending[rank] = append(h.pending[rank], span)
-		}
-		for rank := range h.carried {
-			if _, registered := h.peers[rank]; !registered {
-				h.pending[rank] = append(h.pending[rank], span)
-			}
-		}
+		spans[i] = indextable.Span{Entry: i, Count: int(ups[i].Count)}
 	}
-	h.dirty = true
+	h.stamp++
+	h.recordLocked(spans, -1, h.floorsLocked())
 	// Rank -1 marks the record as an import, not any thread's release — no
 	// watermark advances.
 	h.repRecord(wire.Replication{Event: wire.RepUpdate, Rank: -1, Mutex: -1, Updates: ups})
@@ -385,8 +368,8 @@ func (h *Home) ServeConn(c transport.Conn) {
 	}
 	// When the connection drops, the rank becomes free again so a
 	// migrated incarnation of the thread can re-register from another
-	// platform; its pending queue is discarded (the new replica is blank
-	// and will be seeded with the full state).
+	// platform; it is untracked (the new replica is blank and will be
+	// seeded with the full state).
 	defer h.removePeer(p)
 	for {
 		msg, err := h.recv(c, &in)
@@ -397,36 +380,26 @@ func (h *Home) ServeConn(c transport.Conn) {
 			h.fence(msg.Epoch)
 			return
 		}
-		if p.pendOpen && msg.Seq > p.pendSeq {
-			// A later request proves the in-flight grant or barrier
-			// release was processed; its pending-queue drain is now safe
-			// to commit.
-			h.commitPending(p, p.pendMark)
-			p.pendOpen = false
-		}
+		h.ack(p, msg.Seq)
 		switch msg.Kind {
 		case wire.KindLockReq:
 			// The freeze check is inside acquire, atomic with the
 			// grant: checking here first would race Detach's snapshot.
 			err = h.handleLock(c, p, msg)
-		case wire.KindUnlockReq:
+		case wire.KindUnlockReq, wire.KindFlushReq, wire.KindJoinReq:
 			// Releases are always processed: a holder must be able to
 			// drain so a detaching home can reach quiescence. (A held
 			// lock blocks the snapshot, so an unlock can never arrive
 			// after it.)
-			err = h.handleUnlock(c, p, msg)
+			err = h.handleRelease(c, p, msg)
 		case wire.KindBarrierReq:
 			err = h.handleBarrier(c, p, msg)
-		case wire.KindFlushReq:
-			err = h.handleFlush(c, p, msg)
 		case wire.KindFetchReq:
 			// Fetches are answered even while frozen: the data is
 			// consistent until the handoff snapshot, and a redirect
 			// would race the thread's critical section. (The successor
 			// serves later fetches after the thread's next acquire.)
 			err = h.handleFetch(c, p, msg)
-		case wire.KindJoinReq:
-			err = h.handleJoin(c, p, msg)
 		case wire.KindPing:
 			err = h.send(c, &wire.Message{Kind: wire.KindPong, Seq: msg.Seq, Rank: msg.Rank})
 		default:
@@ -457,7 +430,7 @@ func (h *Home) removePeer(p *peer) {
 	h.mu.Lock()
 	if h.peers[p.rank] == p {
 		delete(h.peers, p.rank)
-		delete(h.pending, p.rank)
+		delete(h.seen, p.rank)
 		// Recover any mutex the dead thread still held: leaving it
 		// orphaned would deadlock every other thread. Its uncommitted
 		// writes are lost — the crashing-holder semantics every lock
@@ -506,26 +479,18 @@ func (h *Home) Close() {
 func (h *Home) Kill() {
 	h.Close()
 	h.lmu.Lock()
-	conns := make([]transport.Conn, 0, len(h.conns))
-	for c := range h.conns {
-		conns = append(conns, c)
-	}
+	conns := h.conns
 	h.conns = nil
 	h.lmu.Unlock()
-	for _, c := range conns {
+	if conns == nil {
+		return // killed before
+	}
+	// Stubs parked on a mutex, a barrier or a detach wake and exit instead
+	// of waiting for threads that can never reach this home again.
+	close(h.killed)
+	for c := range conns {
 		c.Close()
 	}
-	// Wake handler goroutines parked in a barrier generation; their
-	// release sends fail on the severed connections and they exit instead
-	// of waiting on a barrier that can never fill again.
-	h.mu.Lock()
-	for _, bs := range h.barriers {
-		bs.ranks = make(map[int32]uint64)
-		gen := bs.gen
-		bs.gen = make(chan struct{})
-		close(gen)
-	}
-	h.mu.Unlock()
 }
 
 // fence stops a stale home: a frame stamped with a higher epoch proves a
@@ -572,31 +537,9 @@ func (h *Home) handshake(c transport.Conn, msg *wire.Message) (*peer, error) {
 	}
 	h.opts.Events.Note(h.node, flight.KindHello, msg.Rank, -1, 0, plat.Name)
 	p := &peer{rank: msg.Rank, plat: plat, plans: plans}
-	h.mu.Lock()
-	if h.fenced {
-		h.mu.Unlock()
-		return nil, fmt.Errorf("dsd: home fenced by a newer epoch")
+	if err := h.register(p, msg.Flags&wire.FlagWarmReplica != 0); err != nil {
+		return nil, err
 	}
-	if _, dup := h.peers[p.rank]; dup {
-		h.mu.Unlock()
-		return nil, fmt.Errorf("dsd: rank %d already registered", p.rank)
-	}
-	h.peers[p.rank] = p
-	if h.carried[p.rank] && msg.Flags&wire.FlagWarmReplica != 0 {
-		// Handoff-carried rank re-registering with its original
-		// replica: the carried pending queue is its exact catch-up.
-		delete(h.carried, p.rank)
-	} else if h.carried[p.rank] {
-		// Carried rank arriving with a FRESH replica (it migrated
-		// after the handoff): the carried queue is useless; seed the
-		// full state instead.
-		delete(h.carried, p.rank)
-		h.pending[p.rank] = nil
-		h.seedFullLocked(p.rank)
-	} else if h.dirty {
-		h.seedFullLocked(p.rank)
-	}
-	h.mu.Unlock()
 	if err := h.send(c, &wire.Message{
 		Kind:     wire.KindHelloAck,
 		Rank:     p.rank,
@@ -613,13 +556,36 @@ func (h *Home) handshake(c transport.Conn, msg *wire.Message) (*peer, error) {
 	return p, nil
 }
 
+// register adds p to the registered peers and tracks its rank. Only a warm
+// replica of a rank the home already tracks (one a handoff image knew)
+// keeps its seen stamp; any other replica is blank, and is seeded with
+// every entry once anything was applied.
+func (h *Home) register(p *peer, warm bool) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.fenced {
+		return fmt.Errorf("dsd: home fenced by a newer epoch")
+	}
+	if _, dup := h.peers[p.rank]; dup {
+		return fmt.Errorf("dsd: rank %d already registered", p.rank)
+	}
+	h.peers[p.rank] = p
+	if _, tracked := h.seen[p.rank]; !tracked || !warm {
+		h.seen[p.rank] = 0
+		p.seed = h.stamp > 0
+	}
+	return nil
+}
+
 func (h *Home) handleLock(c transport.Conn, p *peer, msg *wire.Message) error {
 	var acqStart time.Time
 	if h.hm.enabled {
 		acqStart = time.Now()
 	}
-	if !h.acquire(msg.Mutex, p.rank) {
+	if err := h.acquire(msg.Mutex, p.rank); err == errMoved {
 		return h.redirect(c, p.rank)
+	} else if err != nil {
+		return err
 	}
 	if h.hm.enabled {
 		h.hm.lockWait.Observe(time.Since(acqStart).Seconds())
@@ -632,7 +598,7 @@ func (h *Home) handleLock(c transport.Conn, p *peer, msg *wire.Message) error {
 		// The grantee vanished; put the lock back so others proceed.
 		// Under StickyLocks the disconnect is presumed transient: the
 		// grantee keeps the mutex and its replayed request is re-granted
-		// (with the pending queue intact, since nothing was committed).
+		// (from the same seen stamp, since nothing was committed).
 		if !h.opts.StickyLocks {
 			h.releaseIfHolder(msg.Mutex, p.rank)
 		}
@@ -641,31 +607,16 @@ func (h *Home) handleLock(c transport.Conn, p *peer, msg *wire.Message) error {
 	return nil
 }
 
-func (h *Home) handleUnlock(c transport.Conn, p *peer, msg *wire.Message) error {
-	if err := h.applyUpdates(p, msg); err != nil {
-		if err == errMoved {
-			// Unreachable while the quiescence protocol holds (a held
-			// lock blocks the snapshot), but redirect defensively.
-			return h.redirect(c, p.rank)
-		}
-		return err
-	}
-	h.opts.Events.Note(h.node, flight.KindUnlock, p.rank, int64(msg.Mutex), int64(wire.UpdateBytes(msg.Updates)), "")
-	// Guarding on the holder makes a replayed unlock (re-sent after a
-	// reconnect, already applied via the watermark) a no-op instead of
-	// releasing a mutex some other thread now holds.
-	h.releaseIfHolder(msg.Mutex, p.rank)
-	h.repFlush()
-	return h.send(c, &wire.Message{Kind: wire.KindUnlockAck, Mutex: msg.Mutex, Rank: p.rank})
-}
-
 func (h *Home) handleBarrier(c transport.Conn, p *peer, msg *wire.Message) error {
-	if msg.Seq != 0 && h.releasedMark(p.rank) >= msg.Seq {
+	h.mu.Lock()
+	released := h.released[p.rank]
+	h.mu.Unlock()
+	if msg.Seq != 0 && released >= msg.Seq {
 		// Replay of an arrival whose generation already opened (the
 		// release was lost with the connection): re-entering the barrier
 		// would wait for peers that have long moved on, so answer with a
-		// release straight away. The pending queue holds everything the
-		// rank has not yet acknowledged seeing.
+		// release straight away, shipping everything above the stamp the
+		// rank last acknowledged seeing.
 		return h.sendPending(c, p, wire.KindBarrierRelease, msg.Mutex, msg.Seq)
 	}
 	if err := h.applyUpdates(p, msg); err != nil {
@@ -697,38 +648,21 @@ func (h *Home) handleBarrier(c transport.Conn, p *peer, msg *wire.Message) error
 }
 
 // sendPending answers a lock or barrier request (kind is the grant or the
-// release) with the rank's pending updates. Neither reply has an ack, so
-// the queue drain is not committed here: it commits when the rank's next
-// request (Seq > reqSeq) proves the reply was processed, and until then a
-// replayed request, which carries the same Seq, is answered from the
-// undrained queue again.
+// release) with the updates the rank is owed. Neither reply has an ack, so
+// the rank's seen stamp does not move here: ack moves it when the rank's
+// next request (Seq > reqSeq) proves the reply was processed, and until
+// then a replayed request, which carries the same Seq, is answered from
+// the old seen stamp again.
 func (h *Home) sendPending(c transport.Conn, p *peer, kind wire.Kind, mutex int32, reqSeq uint64) error {
-	updates, mark := h.peekPending(p)
+	updates := h.peekPending(p, reqSeq)
 	if kind == wire.KindLockGrant {
 		h.opts.Events.Note(h.node, flight.KindLockGrant, p.rank, int64(mutex), int64(wire.UpdateBytes(updates)), "")
 	}
-	if err := h.send(c, &wire.Message{Kind: kind, Mutex: mutex, Rank: p.rank, Updates: updates}); err != nil {
-		return err
-	}
-	p.pendOpen, p.pendMark, p.pendSeq = true, mark, reqSeq
-	return nil
-}
-
-func (h *Home) handleFlush(c transport.Conn, p *peer, msg *wire.Message) error {
-	if err := h.applyUpdates(p, msg); err != nil {
-		if err == errMoved {
-			return h.redirect(c, p.rank)
-		}
-		return err
-	}
-	h.opts.Events.Note(h.node, flight.KindFlush, p.rank, -1, int64(wire.UpdateBytes(msg.Updates)), "")
-	h.repFlush()
-	return h.send(c, &wire.Message{Kind: wire.KindFlushAck, Rank: p.rank})
+	return h.send(c, &wire.Message{Kind: kind, Mutex: mutex, Rank: p.rank, Updates: updates})
 }
 
 // handleFetch materializes current master data for explicitly requested
-// spans (invalidate protocol): tags (t_tag) plus data (t_pack), exactly
-// like a grant, but demand-driven.
+// spans (invalidate protocol) exactly like a grant, but demand-driven.
 func (h *Home) handleFetch(c transport.Conn, p *peer, msg *wire.Message) error {
 	spans := make([]indextable.Span, 0, len(msg.Updates))
 	for i := range msg.Updates {
@@ -743,77 +677,74 @@ func (h *Home) handleFetch(c transport.Conn, p *peer, msg *wire.Message) error {
 		}
 		spans = append(spans, indextable.Span{Entry: int(u.Entry), First: int(u.First), Count: int(u.Count)})
 	}
-	spans = indextable.MergeSpans(spans)
-
-	tagStart := time.Now()
-	tags := make([]string, len(spans))
-	for i, s := range spans {
-		tags[i] = h.table.SpanTag(s).String()
-	}
-	h.bd.Add(stats.Tag, time.Since(tagStart))
-
-	packStart := time.Now()
-	updates := make([]wire.Update, len(spans))
-	var packBytes int
 	h.mu.Lock()
-	for i, s := range spans {
-		n := h.table.SpanBytes(s)
-		buf := make([]byte, n)
-		if _, err := h.master.Read(h.table.SpanOffset(s), n, buf); err != nil {
-			h.mu.Unlock()
-			return err
-		}
-		packBytes += n
-		updates[i] = wire.Update{
-			Entry: int32(s.Entry), First: int32(s.First), Count: int32(s.Count),
-			Tag: tags[i], Data: buf,
-		}
-	}
+	updates := h.packLocked(p, indextable.MergeInPlace(spans))
 	h.mu.Unlock()
-	h.bd.AddBytes(stats.Pack, time.Since(packStart), packBytes)
 	return h.send(c, &wire.Message{Kind: wire.KindFetchReply, Rank: p.rank, Updates: updates})
 }
 
-func (h *Home) handleJoin(c transport.Conn, p *peer, msg *wire.Message) error {
-	if err := h.applyUpdates(p, msg); err != nil {
-		if err == errMoved {
-			return h.redirect(c, p.rank)
-		}
+// handleRelease applies the updates of an unlock, flush or join, then
+// releases the mutex or records the join, and acknowledges the request
+// once the replicators hold it.
+func (h *Home) handleRelease(c transport.Conn, p *peer, msg *wire.Message) error {
+	if err := h.applyUpdates(p, msg); err == errMoved {
+		// For an unlock this is unreachable while the quiescence protocol
+		// holds (a held lock blocks the snapshot), but redirect defensively.
+		return h.redirect(c, p.rank)
+	} else if err != nil {
 		return err
 	}
-	h.mu.Lock()
-	if h.snapshotted {
-		// The successor owns the joined set now.
-		h.mu.Unlock()
-		return h.redirect(c, p.rank)
-	}
-	if !h.joined[p.rank] {
-		h.joined[p.rank] = true
-		h.repRecord(wire.Replication{Event: wire.RepJoin, Rank: p.rank, Mutex: -1})
-		// Close only on the transition: a thread whose JoinAck was lost
-		// in flight replays its join after reconnecting, and a second
-		// close would panic while h.mu is held — hanging every peer.
-		if len(h.joined) == h.nthreads {
-			close(h.done)
+	ack := &wire.Message{Rank: p.rank}
+	switch msg.Kind {
+	case wire.KindUnlockReq:
+		h.opts.Events.Note(h.node, flight.KindUnlock, p.rank, int64(msg.Mutex), int64(wire.UpdateBytes(msg.Updates)), "")
+		// Guarding on the holder makes a replayed unlock (re-sent after a
+		// reconnect, already applied via the watermark) a no-op instead of
+		// releasing a mutex some other thread now holds.
+		h.releaseIfHolder(msg.Mutex, p.rank)
+		ack.Kind, ack.Mutex = wire.KindUnlockAck, msg.Mutex
+	case wire.KindFlushReq:
+		h.opts.Events.Note(h.node, flight.KindFlush, p.rank, -1, int64(wire.UpdateBytes(msg.Updates)), "")
+		ack.Kind = wire.KindFlushAck
+	default:
+		h.mu.Lock()
+		if h.snapshotted {
+			// The successor owns the joined set now.
+			h.mu.Unlock()
+			return h.redirect(c, p.rank)
 		}
+		if !h.joined[p.rank] {
+			h.joined[p.rank] = true
+			h.repRecord(wire.Replication{Event: wire.RepJoin, Rank: p.rank, Mutex: -1})
+			// Close only on the transition: a thread whose JoinAck was lost
+			// in flight replays its join after reconnecting, and a second
+			// close would panic while h.mu is held — hanging every peer.
+			if len(h.joined) == h.nthreads {
+				close(h.done)
+			}
+		}
+		h.mu.Unlock()
+		h.opts.Events.Note(h.node, flight.KindJoin, p.rank, -1, 0, "")
+		ack.Kind = wire.KindJoinAck
 	}
-	h.mu.Unlock()
-	h.opts.Events.Note(h.node, flight.KindJoin, p.rank, -1, 0, "")
 	h.repFlush()
-	return h.send(c, &wire.Message{Kind: wire.KindJoinAck, Rank: p.rank})
+	return h.send(c, ack)
 }
 
 // errMoved reports an update-bearing request arriving after the handoff
 // snapshot; the caller answers with a redirect.
 var errMoved = fmt.Errorf("dsd: home state already handed off")
 
-// acquire blocks until mutex idx is held by rank's thread and reports true,
-// or reports false when the home is frozen for handoff (the freeze check is
-// atomic with the grant — a check-then-acquire would race the detach
-// snapshot, which runs under h.mu). A waiter enqueued before the freeze may
-// still be granted afterwards via release handoff; the unbroken held chain
-// keeps the snapshot waiting until that thread releases.
-func (h *Home) acquire(idx, rank int32) bool {
+// errKilled ends a stub that Kill woke.
+var errKilled = fmt.Errorf("dsd: home killed")
+
+// acquire blocks until mutex idx is held by rank's thread, or returns
+// errMoved when the home is frozen for handoff (the freeze check is atomic
+// with the grant — a check-then-acquire would race the detach snapshot,
+// which runs under h.mu), or errKilled. A waiter enqueued before the freeze
+// may still be granted afterwards via release handoff; the unbroken held
+// chain keeps the snapshot waiting until that thread releases.
+func (h *Home) acquire(idx, rank int32) error {
 	h.mu.Lock()
 	for h.frozen {
 		// Park until the detach resolves either way: a published successor
@@ -822,8 +753,10 @@ func (h *Home) acquire(idx, rank int32) bool {
 		h.mu.Unlock()
 		select {
 		case <-h.redirectReady:
-			return false
+			return errMoved
 		case <-thawed:
+		case <-h.killed:
+			return errKilled
 		}
 		h.mu.Lock()
 	}
@@ -837,7 +770,7 @@ func (h *Home) acquire(idx, rank int32) bool {
 		ls.holder = rank
 		h.repRecord(wire.Replication{Event: wire.RepLock, Rank: rank, Mutex: idx})
 		h.mu.Unlock()
-		return true
+		return nil
 	}
 	if ls.holder == rank {
 		// Replayed request from a reconnected holder whose grant was
@@ -845,13 +778,17 @@ func (h *Home) acquire(idx, rank int32) bool {
 		// ourselves. Well-synchronized programs never double-lock, so
 		// this branch only fires on replay.
 		h.mu.Unlock()
-		return true
+		return nil
 	}
 	ch := make(chan struct{})
 	ls.waiters = append(ls.waiters, lockWaiter{ch: ch, rank: rank})
 	h.mu.Unlock()
-	<-ch // ownership handed off by release
-	return true
+	select {
+	case <-ch: // ownership handed off by release
+		return nil
+	case <-h.killed:
+		return errKilled
+	}
 }
 
 // releaseIfHolder hands mutex idx to the oldest waiter (FIFO) or marks it
@@ -938,20 +875,18 @@ func (h *Home) arrive(idx, rank int32, reqID uint64) (proceed bool, err error) {
 		return true, nil
 	}
 	h.mu.Unlock()
-	<-gen
-	return true, nil
-}
-
-// releasedMark returns rank's barrier-release watermark.
-func (h *Home) releasedMark(rank int32) uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.released[rank]
+	select {
+	case <-gen:
+		return true, nil
+	case <-h.killed:
+		return false, errKilled
+	}
 }
 
 // applyUpdates converts incoming updates to the home representation
-// (receiver makes right, t_conv), applies them to the master copy, and
-// queues the spans for every other thread. An update whose representation
+// (receiver makes right, t_conv), applies them to the master copy under a
+// new stamp, and records their runs for the other tracked ranks. An update
+// whose representation
 // is already the home's (a copy plan) is written to the master
 // straight from the received frame; the rest convert into the peer's
 // scratch buffer. Neither outlives the request — the sender reuses its
@@ -1021,27 +956,15 @@ func (h *Home) applyUpdates(p *peer, msg *wire.Message) error {
 		// Replayed request: a reconnected thread re-sent an unlock,
 		// barrier, flush or join whose updates already landed. Applying
 		// them twice would be harmless for the master (idempotent value
-		// writes) but would re-queue spans; skip cleanly.
+		// writes) but would take a stamp; skip cleanly.
 		return nil
 	}
-	h.dirty = true
 	replicating := len(h.reps) > 0
-	// Every other registered rank gets the spans queued, and so do
-	// handoff-carried ranks that have not re-registered yet: their carried
-	// queue is their exact catch-up, and missing this window would lose
-	// updates.
-	others := p.others[:0]
-	for rank := range h.peers {
-		if rank != p.rank {
-			others = append(others, rank)
-		}
-	}
-	for rank := range h.carried {
-		if _, registered := h.peers[rank]; rank != p.rank && !registered {
-			others = append(others, rank)
-		}
-	}
-	p.others = others
+	h.stamp++
+	f := h.floorsLocked()
+	// A home where no other rank is tracked records nothing.
+	record := f.needs(p.rank, h.stamp)
+	spans := p.spans[:0]
 	var rep []wire.Update
 	for _, cv := range p.convs {
 		if err := h.master.RawWrite(h.table.SpanOffset(cv.span), cv.data); err != nil {
@@ -1053,9 +976,14 @@ func (h *Home) applyUpdates(p *peer, msg *wire.Message) error {
 				Data: slices.Clone(cv.data),
 			})
 		}
-		for _, rank := range others {
-			h.pending[rank] = append(h.pending[rank], cv.span)
+		if record {
+			spans = append(spans, cv.span)
 		}
+	}
+	if record {
+		// Sorted first: a peer frame is outside input.
+		p.spans = indextable.MergeInPlace(spans)
+		h.recordLocked(p.spans, p.rank, f)
 	}
 	if msg.Seq > h.applied[p.rank] {
 		h.applied[p.rank] = msg.Seq
@@ -1083,24 +1011,21 @@ func (h *Home) applyUpdates(p *peer, msg *wire.Message) error {
 	return nil
 }
 
-// peekPending materializes the pending updates for one thread without
-// draining the queue: coalesce spans, form tags (t_tag), copy master data
-// (t_pack's gather half). The encode half of t_pack is charged in send.
-// Under the invalidate protocol only the spans travel, as data-less
-// records. The updates and their data are the peer's scratch, valid until
-// its next peek — the send that encodes them is their only reader. The
-// returned mark is the raw queue length covered by the peek;
-// commitPending(mark) drains exactly that prefix once delivery is
-// confirmed, so spans appended meanwhile survive and a lost grant or
-// release can be re-materialized for the replayed request.
-func (h *Home) peekPending(p *peer) ([]wire.Update, int) {
+// peekPending materializes the updates one thread is owed for its reply
+// to request reqSeq: its runs, coalesced, widened and packed (the encode
+// half of t_pack is charged in send). Under the invalidate protocol only
+// the spans travel, as data-less records. The stamp the reply covers is
+// kept for ack; runs written meanwhile stay owed, and a lost grant or
+// release is re-materialized from the old seen stamp for the replayed
+// request.
+func (h *Home) peekPending(p *peer, reqSeq uint64) []wire.Update {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	mark := len(h.pending[p.rank])
-	spans := indextable.MergeInPlace(append(p.grant[:0], h.pending[p.rank]...))
-	p.grant = spans
+	p.replied, p.covered, p.replySeq = true, h.stamp, reqSeq
+	spans := indextable.MergeInPlace(h.owedLocked(p.spans[:0], p.rank, p.seed))
+	p.spans = spans
 	if len(spans) == 0 {
-		return nil, mark
+		return nil
 	}
 	updates := p.grantUps[:0]
 	if h.opts.Protocol == ProtocolInvalidate {
@@ -1108,10 +1033,16 @@ func (h *Home) peekPending(p *peer) ([]wire.Update, int) {
 			updates = append(updates, wire.Update{Entry: int32(s.Entry), First: int32(s.First), Count: int32(s.Count)})
 		}
 		p.grantUps = updates
-		return updates, mark
+		return updates
 	}
-	spans = h.table.Widen(spans, h.opts.WholeArrayThreshold)
+	return h.packLocked(p, h.table.Widen(spans, h.opts.WholeArrayThreshold))
+}
 
+// packLocked materializes the master's current data for spans as the
+// peer's scratch updates: tags (t_tag) and data (t_pack's gather half),
+// valid until its next pack. Caller holds h.mu.
+func (h *Home) packLocked(p *peer, spans []indextable.Span) []wire.Update {
+	updates := p.grantUps[:0]
 	tagStart := time.Now()
 	var packBytes int
 	for _, s := range spans {
@@ -1139,18 +1070,18 @@ func (h *Home) peekPending(p *peer) ([]wire.Update, int) {
 	}
 	h.bd.AddBytes(stats.Pack, time.Since(packStart), packBytes)
 	p.grantUps, p.grantData = updates, data
-	return updates, mark
+	return updates
 }
 
-// commitPending drains the first mark raw entries of a rank's pending
-// queue — the prefix a prior peekPending materialized — now that their
-// delivery is confirmed (a later request arrived).
-func (h *Home) commitPending(p *peer, mark int) {
+// ack commits the last reply once a request with a higher Seq proves it
+// arrived: the rank's replica now holds every run the reply covered.
+func (h *Home) ack(p *peer, seq uint64) {
+	if !p.replied || seq <= p.replySeq {
+		return
+	}
+	p.replied = false
 	h.mu.Lock()
-	// In place: every reader of a queue copies it under h.mu, so the
-	// backing array can be kept for the spans queued next.
-	q := h.pending[p.rank]
-	h.pending[p.rank] = q[:copy(q, q[min(mark, len(q)):])]
+	h.seen[p.rank], p.seed = p.covered, false
 	h.mu.Unlock()
 }
 

@@ -104,12 +104,3 @@ func (t *Thread) emitReleaseSpans(m *wire.Message, st relStages, shipStart time.
 func (t *Thread) observesReleases() bool {
 	return t.tm.enabled || t.opts.Events != nil
 }
-
-// finishRelease records the metrics and spans of one completed release.
-func (t *Thread) finishRelease(m *wire.Message, st relStages, shipStart time.Time) {
-	d := time.Since(shipStart)
-	t.tm.releases.Inc()
-	t.tm.releaseRTT.Observe(d.Seconds())
-	t.tm.diffBytes.Observe(float64(st.bytes))
-	t.emitReleaseSpans(m, st, shipStart, d)
-}

@@ -260,11 +260,9 @@ func TestStalledRankDeadlocksWithoutDeadlinePlane(t *testing.T) {
 // 2 ms. Each operation either succeeds or fails with an error wrapping
 // ErrDeadline (a rank stops at its first failure), and the whole run ends
 // in seconds. A redial whose backoff sleeps past the attempt's deadline
-// dooms every dial and hello of its cycle instead, and the run hangs. (A
-// rank that fails holding the sticky mutex leaves the other rank's stub
-// parked in acquire, which Kill does not wake, so this test takes no
-// goroutine census.)
+// dooms every dial and hello of its cycle instead, and the run hangs.
 func TestArmedStallPlanEndsPromptly(t *testing.T) {
+	defer leakcheck.Check(t)()
 	opts := DefaultOptions()
 	opts.StickyLocks = true
 	opts.OpTimeout = 2 * time.Millisecond

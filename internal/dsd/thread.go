@@ -112,6 +112,20 @@ type Thread struct {
 // Connect performs the hello handshake over an established connection and
 // returns a ready thread with an armed (write-protected) replica.
 func Connect(conn transport.Conn, p *platform.Platform, rank int32, gthv tag.Struct, opts Options) (*Thread, error) {
+	t, err := newThread(p, rank, gthv, opts)
+	if err != nil {
+		return nil, err
+	}
+	t.conn, t.frames = conn, new(frameBufs)
+	if err := t.handshakeOn(t.conn); err != nil {
+		return nil, err
+	}
+	t.seg.ProtectAll()
+	return t, nil
+}
+
+// newThread builds a thread's replica and its typed view, unconnected.
+func newThread(p *platform.Platform, rank int32, gthv tag.Struct, opts Options) (*Thread, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -136,34 +150,27 @@ func Connect(conn transport.Conn, p *platform.Platform, rank int32, gthv tag.Str
 		node:   fmt.Sprintf("rank-%d@%s", rank, p.Name),
 		opts:   opts,
 		gthv:   gthv,
-		conn:   conn,
 		layout: layout,
 		table:  table,
 		seg:    seg,
 		tm:     newThreadMetrics(opts.Metrics),
-		frames: new(frameBufs),
 	}
-	t.initDeadlinePlane()
+	if opts.OpTimeout > 0 {
+		t.retryRng = rand.New(rand.NewSource(0x6ea511 + int64(rank)))
+	}
 	t.globals = newGlobals(p, table, seg)
 	t.globals.ensure = t.ensureValid
 	t.globals.wrote = t.noteLocalWrite
 	t.globals.rec = opts.Recorder
 	t.globals.rank = rank
-	if err := t.handshake(); err != nil {
-		return nil, err
-	}
-	t.seg.ProtectAll()
 	return t, nil
 }
 
-// handshake registers the thread with its (possibly new, after a redirect)
-// home and learns the home's platform and base for conversions.
-func (t *Thread) handshake() error { return t.handshakeOn(t.conn) }
-
-// handshakeOn runs the hello exchange over an explicit connection. HA
-// threads install it as the Reconn's OnConnect hook, which hands them the
-// raw, freshly dialed conn — sending through t.conn there would re-enter
-// the redial path and deadlock.
+// handshakeOn registers the thread with its (possibly new, after a
+// redirect) home over c and learns the home's platform and base for
+// conversions. HA threads install it as the Reconn's OnConnect hook, which
+// hands them the raw, freshly dialed conn — sending through t.conn there
+// would re-enter the redial path and deadlock.
 func (t *Thread) handshakeOn(c transport.Conn) error {
 	var flags uint8
 	if t.warm {
@@ -212,8 +219,8 @@ func (t *Thread) handshakeOn(c transport.Conn) error {
 	}
 	t.proto = Protocol(ack.Proto)
 	// From now on the replica tracks this home: any later registration
-	// (redirect, reconnect) is a warm one, and the home's pending queue
-	// for this rank is its exact catch-up.
+	// (redirect, reconnect) is a warm one, and a home that still tracks
+	// this rank ships it only what changed since its seen stamp.
 	t.warm = true
 	return nil
 }
@@ -294,45 +301,12 @@ func DialHA(nw transport.Network, addrs []string, p *platform.Platform, rank int
 
 // DialHABackoff is DialHA with an explicit reconnect policy.
 func DialHABackoff(nw transport.Network, addrs []string, p *platform.Platform, rank int32, gthv tag.Struct, opts Options, policy transport.Backoff) (*Thread, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if opts.Base%uint64(p.PageSize) != 0 {
-		return nil, fmt.Errorf("dsd: base %#x not aligned to %s page size %d", opts.Base, p, p.PageSize)
-	}
-	layout, err := tag.NewLayout(gthv, p)
-	if err != nil {
-		return nil, err
-	}
-	table, err := indextable.Build(layout, opts.Base)
-	if err != nil {
-		return nil, err
-	}
-	seg, err := vmem.NewSegment(opts.Base, layout.Size, p.PageSize)
+	t, err := newThread(p, rank, gthv, opts)
 	if err != nil {
 		return nil, err
 	}
 	rc := transport.NewReconn(nw, addrs, policy)
-	t := &Thread{
-		rank:   rank,
-		plat:   p,
-		node:   fmt.Sprintf("rank-%d@%s", rank, p.Name),
-		opts:   opts,
-		gthv:   gthv,
-		conn:   rc,
-		layout: layout,
-		table:  table,
-		seg:    seg,
-		nw:     nw,
-		rc:     rc,
-		tm:     newThreadMetrics(opts.Metrics),
-	}
-	t.initDeadlinePlane()
-	t.globals = newGlobals(p, table, seg)
-	t.globals.ensure = t.ensureValid
-	t.globals.wrote = t.noteLocalWrite
-	t.globals.rec = opts.Recorder
-	t.globals.rank = rank
+	t.conn, t.nw, t.rc = rc, nw, rc
 	rc.OnConnect = func(c transport.Conn) error {
 		if err := t.handshakeOn(c); err != nil {
 			return err
@@ -413,28 +387,21 @@ func (t *Thread) call(m *wire.Message, want wire.Kind) (*wire.Message, error) {
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		t.armDeadline()
-		if err := t.send(m); err != nil {
-			if t.rc != nil {
-				lastErr = err
-				if t.deadlineExpired(err) && deadlineRetries < maxDeadlineRetries {
-					deadlineRetries++
-					attempt--
-				}
-				continue
-			}
-			return nil, err
+		var reply *wire.Message
+		err := t.sendOn(t.conn, m)
+		if err == nil {
+			reply, err = t.recvOn(t.conn)
 		}
-		reply, err := t.recvAny()
 		if err != nil {
-			if t.rc != nil {
-				lastErr = err
-				if t.deadlineExpired(err) && deadlineRetries < maxDeadlineRetries {
-					deadlineRetries++
-					attempt--
-				}
-				continue
+			if t.rc == nil {
+				return nil, err
 			}
-			return nil, err
+			lastErr = err
+			if t.deadlineExpired(err) && deadlineRetries < maxDeadlineRetries {
+				deadlineRetries++
+				attempt--
+			}
+			continue
 		}
 		if reply.Kind == wire.KindRedirect {
 			if err := t.followRedirect(reply.Addr); err != nil {
@@ -451,15 +418,6 @@ func (t *Thread) call(m *wire.Message, want wire.Kind) (*wire.Message, error) {
 		return nil, fmt.Errorf("dsd: %v gave up after %d attempts: %w", m.Kind, attempts, lastErr)
 	}
 	return nil, fmt.Errorf("dsd: too many home redirects")
-}
-
-// initDeadlinePlane arms the per-attempt deadline machinery when
-// Options.OpTimeout is set; with it unset every field stays zero and the
-// send/recv paths take the exact pre-deadline code path.
-func (t *Thread) initDeadlinePlane() {
-	if t.opts.OpTimeout > 0 {
-		t.retryRng = rand.New(rand.NewSource(0x6ea511 + int64(t.rank)))
-	}
 }
 
 // armDeadline starts a fresh attempt budget (no-op with OpTimeout unset).
@@ -525,13 +483,13 @@ func (t *Thread) followRedirect(addr string) error {
 	// the connection instead and re-registers cold.)
 	t.warm = true
 	t.opts.Events.Note(t.node, flight.KindRedirect, t.rank, -1, 0, addr)
-	return t.handshake()
+	return t.handshakeOn(t.conn)
 }
 
 // Lock acquires distributed mutex idx (MTh_lock): the grant carries all
 // outstanding updates, which are converted receiver-makes-right and applied
-// before Lock returns. The grant has no ack: the home drains what it
-// shipped when this thread's next request arrives.
+// before Lock returns. The grant has no ack: the home counts it delivered
+// when this thread's next request arrives.
 func (t *Thread) Lock(idx int) error {
 	var acqStart time.Time
 	if t.tm.enabled {
@@ -558,28 +516,43 @@ func (t *Thread) Lock(idx int) error {
 // diffs abstracted to index spans (t_index), tagged (t_tag), packed and
 // shipped home with the release.
 func (t *Thread) Unlock(idx int) error {
-	updates, st := t.collectUpdates()
-	m := &wire.Message{
-		Kind:    wire.KindUnlockReq,
-		Mutex:   int32(idx),
-		Rank:    t.rank,
-		Updates: updates,
-	}
-	var shipStart time.Time
-	if t.observesReleases() {
-		shipStart = time.Now()
-	}
-	if _, err := t.call(m, wire.KindUnlockAck); err != nil {
+	if _, err := t.release(wire.KindUnlockReq, int32(idx), wire.KindUnlockAck); err != nil {
 		return err
 	}
 	if t.opts.Recorder != nil {
 		t.opts.Recorder.Release(t.rank, idx)
 	}
-	if t.observesReleases() {
-		t.finishRelease(m, st, shipStart)
-	}
 	t.rearm()
 	return nil
+}
+
+// release ships the detection window's updates with a kind request for
+// mutex or barrier idx (zero for a flush or join), waits for the want
+// reply, and records the release's metrics and spans.
+func (t *Thread) release(kind wire.Kind, idx int32, want wire.Kind) (*wire.Message, error) {
+	updates, st := t.collectUpdates()
+	m := &wire.Message{Kind: kind, Mutex: idx, Rank: t.rank, Updates: updates}
+	var shipStart time.Time
+	if t.observesReleases() {
+		shipStart = time.Now()
+	}
+	reply, err := t.call(m, want)
+	if err != nil {
+		return nil, err
+	}
+	if t.observesReleases() {
+		d := time.Since(shipStart)
+		if kind == wire.KindBarrierReq {
+			t.tm.barriers.Inc()
+			t.tm.barrierWait.Observe(d.Seconds())
+		} else {
+			t.tm.releases.Inc()
+			t.tm.releaseRTT.Observe(d.Seconds())
+		}
+		t.tm.diffBytes.Observe(float64(st.bytes))
+		t.emitReleaseSpans(m, st, shipStart, d)
+	}
+	return reply, nil
 }
 
 // Barrier enters barrier idx (MTh_barrier): local updates are flushed like
@@ -589,27 +562,9 @@ func (t *Thread) Barrier(idx int) error {
 	if t.opts.Recorder != nil {
 		t.opts.Recorder.BarrierEnter(t.rank, idx)
 	}
-	updates, st := t.collectUpdates()
-	m := &wire.Message{
-		Kind:    wire.KindBarrierReq,
-		Mutex:   int32(idx),
-		Rank:    t.rank,
-		Updates: updates,
-	}
-	var shipStart time.Time
-	if t.observesReleases() {
-		shipStart = time.Now()
-	}
-	release, err := t.call(m, wire.KindBarrierRelease)
+	release, err := t.release(wire.KindBarrierReq, int32(idx), wire.KindBarrierRelease)
 	if err != nil {
 		return err
-	}
-	if t.observesReleases() {
-		d := time.Since(shipStart)
-		t.tm.barriers.Inc()
-		t.tm.barrierWait.Observe(d.Seconds())
-		t.tm.diffBytes.Observe(float64(st.bytes))
-		t.emitReleaseSpans(m, st, shipStart, d)
 	}
 	if err := t.applyIncoming(release); err != nil {
 		return err
@@ -626,21 +581,8 @@ func (t *Thread) Barrier(idx int) error {
 // point so writes made since the last release survive the replica being
 // abandoned; well-synchronized programs never need it directly.
 func (t *Thread) Flush() error {
-	updates, st := t.collectUpdates()
-	m := &wire.Message{
-		Kind:    wire.KindFlushReq,
-		Rank:    t.rank,
-		Updates: updates,
-	}
-	var shipStart time.Time
-	if t.observesReleases() {
-		shipStart = time.Now()
-	}
-	if _, err := t.call(m, wire.KindFlushAck); err != nil {
+	if _, err := t.release(wire.KindFlushReq, 0, wire.KindFlushAck); err != nil {
 		return err
-	}
-	if t.observesReleases() {
-		t.finishRelease(m, st, shipStart)
 	}
 	t.rearm()
 	return nil
@@ -649,24 +591,11 @@ func (t *Thread) Flush() error {
 // Join announces termination (MTh_join), flushing any remaining updates so
 // the final state reaches the base thread.
 func (t *Thread) Join() error {
-	updates, st := t.collectUpdates()
-	m := &wire.Message{
-		Kind:    wire.KindJoinReq,
-		Rank:    t.rank,
-		Updates: updates,
-	}
-	var shipStart time.Time
-	if t.observesReleases() {
-		shipStart = time.Now()
-	}
-	if _, err := t.call(m, wire.KindJoinAck); err != nil {
+	if _, err := t.release(wire.KindJoinReq, 0, wire.KindJoinAck); err != nil {
 		return err
 	}
 	if t.opts.Recorder != nil {
 		t.opts.Recorder.Join(t.rank)
-	}
-	if t.observesReleases() {
-		t.finishRelease(m, st, shipStart)
 	}
 	return nil
 }
@@ -785,15 +714,10 @@ func (t *Thread) applyIncoming(msg *wire.Message) error {
 	return nil
 }
 
-// send encodes (t_pack) and transmits. The sequence number is stamped only
-// once, on the first transmission: a request re-sent after a reconnect must
-// carry the same id so the home's idempotency watermarks recognize the
-// replay.
-func (t *Thread) send(m *wire.Message) error {
-	return t.sendOn(t.conn, m)
-}
-
-// sendOn is send over an explicit connection (see handshakeOn).
+// sendOn encodes (t_pack) and transmits over c, the thread's conn or the
+// one handshakeOn was handed. The sequence number is stamped only once, on
+// the first transmission: a request re-sent after a reconnect must carry
+// the same id so the home's idempotency watermarks recognize the replay.
 func (t *Thread) sendOn(c transport.Conn, m *wire.Message) error {
 	if m.Seq == 0 {
 		m.Seq = t.seq.Add(1)
@@ -873,12 +797,7 @@ func (f *frameBufs) abandon() {
 	}
 }
 
-// recvAny receives and decodes (t_unpack) the next message.
-func (t *Thread) recvAny() (*wire.Message, error) {
-	return t.recvOn(t.conn)
-}
-
-// recvOn is recvAny over an explicit connection (see handshakeOn). The
+// recvOn receives and decodes (t_unpack) the next message from c. The
 // message is the thread's own receive buffer, valid until the next receive;
 // every caller is done with a reply before it receives again.
 func (t *Thread) recvOn(c transport.Conn) (*wire.Message, error) {
@@ -904,18 +823,6 @@ func (t *Thread) recvOn(c transport.Conn) (*wire.Message, error) {
 	if m.Epoch > t.homeEpoch {
 		t.opts.Events.Note(t.node, flight.KindEpochAdopt, t.rank, int64(m.Epoch), int64(t.homeEpoch), "")
 		t.homeEpoch = m.Epoch
-	}
-	return m, nil
-}
-
-// recv receives, decodes (t_unpack) and checks the message kind.
-func (t *Thread) recv(want wire.Kind) (*wire.Message, error) {
-	m, err := t.recvAny()
-	if err != nil {
-		return nil, err
-	}
-	if m.Kind != want {
-		return nil, fmt.Errorf("dsd: expected %v, got %v", want, m.Kind)
 	}
 	return m, nil
 }

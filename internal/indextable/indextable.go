@@ -352,8 +352,7 @@ func (t *Table) nextEntryStart(off, limit int) int {
 }
 
 // MergeSpans sorts spans by (entry, first element) and merges overlapping
-// or adjacent runs within the same entry. The home node uses this to keep
-// per-thread pending-update queues compact across many unlocks.
+// or adjacent runs within the same entry.
 func MergeSpans(spans []Span) []Span {
 	out := make([]Span, len(spans))
 	copy(out, spans)
